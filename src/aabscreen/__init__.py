@@ -22,7 +22,6 @@ _SUBMODULES = {
 
 _EXPORTS = {
     "ViewGraph": "graph",
-    "TripleSample": "graph",
     "UCParams": "synthetic",
     "GroundTruth": "synthetic",
     "generate_uc": "synthetic",

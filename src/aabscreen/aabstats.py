@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import ViewGraph
-from .sphere import DEGENERATE_BASE_TOL, aab_inconsistency_batch
-from .streams import TAG_TRIPLES, edge_rng
+from .sphere import aab_inconsistency_batch, degenerate_base_mask
+from .streams import TAG_TRIPLES, bounded_index, edge_hash
 
 __all__ = [
     "AABConfig",
@@ -32,6 +32,9 @@ __all__ = [
 
 # Retries per degenerate sampled triangle before it is dropped from the mean.
 _MAX_RESAMPLE_ROUNDS = 8
+
+# Triangles per block of geometry: bounds the transient (rows, 3) arrays.
+_BLOCK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -101,83 +104,73 @@ class EdgeStatistics:
         return out
 
 
-def _sample_all_edges(g: ViewGraph, cfg: AABConfig):
-    """Initial s-samples for every edge plus the per-edge streams.
+def _blocks(size: int):
+    return (slice(lo, lo + _BLOCK_ROWS) for lo in range(0, size, _BLOCK_ROWS))
 
-    Returns (edge_rows, neighbors, rngs, unsupported_rows); the streams are
-    kept so degenerate triangles can be resampled from the same sequence.
+
+def _pick_neighbors(g: ViewGraph, seed: int, rows, draws) -> np.ndarray:
+    """Common neighbour of edge ``rows`` chosen by draw index ``draws``.
+
+    Both broadcast; every draw is keyed by (seed, canonical edge, index).
     """
-    erows = []
-    ks = []
-    rngs: dict[int, np.random.Generator] = {}
-    unsupported = []
-    for row, (i, j) in enumerate(g.edge_array):
-        i = int(i)
-        j = int(j)
-        cands = g.common_neighbors(i, j)
-        if cands.size == 0:
-            unsupported.append(row)
-            continue
-        rng = edge_rng(cfg.seed, TAG_TRIPLES, i, j)
-        rngs[row] = rng
-        picks = cands[rng.integers(0, cands.size, size=cfg.s)]
-        erows.append(np.full(cfg.s, row, dtype=np.int64))
-        ks.append(picks)
-    if erows:
-        edge_rows = np.concatenate(erows)
-        neighbors = np.concatenate(ks)
-    else:
-        edge_rows = np.empty(0, dtype=np.int64)
-        neighbors = np.empty(0, dtype=np.int64)
-    return edge_rows, neighbors, rngs, unsupported
+    indptr, indices = g.common_neighbor_csr
+    ends = g.edge_array[rows]
+    h = edge_hash(seed, TAG_TRIPLES, ends[..., 0], ends[..., 1], draws)
+    start = indptr[rows]
+    return indices[start + bounded_index(h, indptr[rows + 1] - start)]
 
 
-def _base_degenerate(g: ViewGraph, edge_rows, neighbors) -> np.ndarray:
-    i_arr = g.edge_array[edge_rows, 0]
-    j_arr = g.edge_array[edge_rows, 1]
-    g_jk = g.directions_of_pairs(j_arr, neighbors)
-    g_ki = g.directions_of_pairs(neighbors, i_arr)
-    z = np.einsum("ij,ij->i", g_jk, g_ki)
-    return z * z > 1.0 - DEGENERATE_BASE_TOL
+def _degenerate(g: ViewGraph, rows_jk: np.ndarray, rows_ki: np.ndarray) -> np.ndarray:
+    # the test depends on the squared dot product only, so orientation is moot
+    d = g.direction_array
+    out = np.empty(rows_jk.size, dtype=bool)
+    for sl in _blocks(out.size):
+        out[sl] = degenerate_base_mask(d[rows_jk[sl]], d[rows_ki[sl]])
+    return out
 
 
 def _build_cache(g: ViewGraph, cfg: AABConfig):
-    """Sample triangles, resample degenerate ones, evaluate inconsistencies."""
-    edge_rows, neighbors, rngs, unsupported_rows = _sample_all_edges(g, cfg)
+    """Sample triangles, redraw degenerate ones, evaluate inconsistencies.
 
-    if edge_rows.size:
-        bad = _base_degenerate(g, edge_rows, neighbors)
-        rounds = 0
-        while bad.any() and rounds < _MAX_RESAMPLE_ROUNDS:
-            rounds += 1
-            for pos in np.flatnonzero(bad):
-                row = int(edge_rows[pos])
-                i, j = (int(v) for v in g.edge_array[row])
-                cands = g.common_neighbors(i, j)
-                neighbors[pos] = cands[int(rngs[row].integers(0, cands.size))]
-            bad = _base_degenerate(g, edge_rows, neighbors)
-        if bad.any():
-            edge_rows = edge_rows[~bad]
-            neighbors = neighbors[~bad]
-
-    # edges whose every sample stayed degenerate have nothing to average
-    present = np.zeros(g.num_edges, dtype=bool)
-    present[edge_rows] = True
-    unsupported_set = set(unsupported_rows)
-    for row in rngs:
-        if not present[row]:
-            unsupported_set.add(row)
-    unsupported_rows = unsupported_set
-
+    Sample ``slot`` of an edge uses draw index ``slot`` and, in redraw round
+    r, draw index ``s * r + slot``.  Returns the cache and the sorted rows of
+    edges left without a single triangle.
+    """
+    indptr, _ = g.common_neighbor_csr
+    supported = np.flatnonzero(np.diff(indptr))
+    edge_rows = np.repeat(supported, cfg.s)
+    neighbors = _pick_neighbors(g, cfg.seed, supported[:, None], np.arange(cfg.s)).reshape(-1)
     i_arr = g.edge_array[edge_rows, 0]
     j_arr = g.edge_array[edge_rows, 1]
-    g_ij = g.direction_array[edge_rows]
-    g_jk = g.directions_of_pairs(j_arr, neighbors)
-    g_ki = g.directions_of_pairs(neighbors, i_arr)
-    inc = aab_inconsistency_batch(g_ij, g_jk, g_ki)
-
     rows_jk = g.edge_rows_of_pairs(j_arr, neighbors)
     rows_ki = g.edge_rows_of_pairs(neighbors, i_arr)
+
+    bad = np.flatnonzero(_degenerate(g, rows_jk, rows_ki))
+    for rnd in range(1, _MAX_RESAMPLE_ROUNDS + 1):
+        if bad.size == 0:
+            break
+        k = _pick_neighbors(g, cfg.seed, edge_rows[bad], cfg.s * rnd + bad % cfg.s)
+        neighbors[bad] = k
+        rows_jk[bad] = g.edge_rows_of_pairs(j_arr[bad], k)
+        rows_ki[bad] = g.edge_rows_of_pairs(k, i_arr[bad])
+        bad = bad[_degenerate(g, rows_jk[bad], rows_ki[bad])]
+    if bad.size:
+        keep = np.ones(edge_rows.size, dtype=bool)
+        keep[bad] = False
+        edge_rows, neighbors, rows_jk, rows_ki, i_arr, j_arr = (
+            a[keep] for a in (edge_rows, neighbors, rows_jk, rows_ki, i_arr, j_arr)
+        )
+
+    inc = np.empty(edge_rows.size)
+    d = g.direction_array
+    for sl in _blocks(inc.size):
+        k = neighbors[sl]
+        inc[sl] = aab_inconsistency_batch(
+            d[edge_rows[sl]],
+            g.directions_of_rows(rows_jk[sl], j_arr[sl], k),
+            g.directions_of_rows(rows_ki[sl], k, i_arr[sl]),
+        )
+
     cache = TripleCache(
         edge_rows=edge_rows,
         neighbors=neighbors,
@@ -185,7 +178,9 @@ def _build_cache(g: ViewGraph, cfg: AABConfig):
         rows_ki=rows_ki,
         inconsistencies=inc,
     )
-    return cache, sorted(unsupported_rows)
+    # edges without common neighbours or whose every sample stayed degenerate
+    empty = np.bincount(edge_rows, minlength=g.num_edges) == 0
+    return cache, np.flatnonzero(empty).tolist()
 
 
 def _segment_mean(cache: TripleCache, num_edges: int) -> np.ndarray:
@@ -220,8 +215,9 @@ def naive_aab(g: ViewGraph, cfg: AABConfig) -> EdgeStatistics:
     """Sampled triangle-average AAB statistic for every edge.
 
     Edges without common neighbors are flagged unsupported; sampled
-    triangles with an (anti)parallel base pair are resampled from the edge
-    stream a bounded number of times, then dropped from the average.
+    triangles with an (anti)parallel base pair are redrawn with fresh draw
+    indices of the edge a bounded number of times, then dropped from the
+    average.
     """
     cache, unsupported_rows = _build_cache(g, cfg)
     vals = _segment_mean(cache, g.num_edges)

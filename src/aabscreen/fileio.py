@@ -10,6 +10,7 @@ leaves a partial output behind.
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Iterable, Mapping
 
@@ -113,7 +114,8 @@ def parse_edge_list(path: str) -> ViewGraph:
     """Read a view graph, validating ids, uniqueness, and direction norms."""
     rd = _Reader(path)
     n = rd.check_header(_EDGE_HEADER)
-    edges = []
+    ids = []
+    dirs = []
     seen = set()
     for lineno, line in rd.data_lines():
         parts = line.split()
@@ -131,11 +133,15 @@ def parse_edge_list(path: str) -> ViewGraph:
         if (i, j) in seen:
             rd.fail(lineno, f"duplicate edge ({i}, {j})")
         seen.add((i, j))
+        if not np.isfinite(d).all():
+            rd.fail(lineno, "direction has a non-finite component")
         norm = float(np.linalg.norm(d))
         if abs(norm - 1.0) > _NORM_REJECT_TOL:
             rd.fail(lineno, f"direction norm {norm!r} deviates from 1 by more than {_NORM_REJECT_TOL}")
-        edges.append((i, j, d / norm))
-    return ViewGraph(n, edges)
+        ids.append((i, j))
+        dirs.append(d / norm)
+    ij = np.array(ids, dtype=np.int64).reshape(-1, 2)
+    return ViewGraph.from_arrays(n, ij[:, 0], ij[:, 1], np.array(dirs).reshape(-1, 3))
 
 
 # -- locations ---------------------------------------------------------------
@@ -168,6 +174,8 @@ def parse_locations(path: str) -> tuple[dict[int, np.ndarray], int]:
             t = np.array([float(parts[1]), float(parts[2]), float(parts[3])])
         except ValueError:
             rd.fail(lineno, "could not parse vertex id or coordinates")
+        if not np.isfinite(t).all():
+            rd.fail(lineno, f"location of vertex {v} has a non-finite coordinate")
         if not 0 <= v < n:
             rd.fail(lineno, f"vertex {v} out of range for n={n}")
         if v in locs:
@@ -223,9 +231,12 @@ def parse_statistics(path: str) -> EdgeStatistics:
             unsupported.add(edge)
         else:
             try:
-                values[edge] = float(parts[2])
+                value = float(parts[2])
             except ValueError:
                 rd.fail(lineno, "could not parse statistic value")
+            if not math.isfinite(value):
+                rd.fail(lineno, f"statistic of supported edge {edge} is not finite")
+            values[edge] = value
     return EdgeStatistics(edges=edges, values=values, unsupported=unsupported)
 
 

@@ -8,27 +8,60 @@ screening builds new graphs instead of mutating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .sphere import UNIT_NORM_TOL
-from .streams import TAG_TRIPLES, edge_rng
 
-__all__ = ["ViewGraph", "TripleSample"]
+__all__ = ["ViewGraph"]
+
+# Directions off unit norm by more than this (and at most UNIT_NORM_TOL) are
+# renormalized on construction.
+_RENORM_TOL = 1e-12
+
+# Neighbour-list entries walked per block while building the common-neighbour
+# lists; bounds the transient memory at a few tens of MB.
+_WEDGE_BLOCK = 1 << 20
 
 
-@dataclass(frozen=True)
-class TripleSample:
-    """Common neighbors drawn (with replacement) for one edge.
+def _first_invalid(n: int, i, j, d, norms, not_vec) -> str | None:
+    """Message for the first offending edge in input order, or None.
 
-    ``unsupported`` is set when the edge has no common neighbors at all, in
-    which case ``neighbors`` is empty.
+    An edge is checked for, in this order: self-loop, vertex range, an
+    earlier edge on the same pair, a direction that is not a 3-vector (rows
+    listed in ``not_vec``), non-finite components, and unit norm (``norms``
+    are the row norms of ``d``).
     """
-
-    edge: tuple[int, int]
-    neighbors: np.ndarray
-    unsupported: bool
+    m = i.size
+    if m == 0:
+        return None
+    lo = np.minimum(i, j)
+    hi = np.maximum(i, j)
+    in_range = (lo >= 0) & (hi < n)
+    # out-of-range pairs get distinct negative keys so they match nothing
+    keys = np.where(in_range, lo * n + hi, -1 - np.arange(m))
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    dup = first[inverse] != np.arange(m)
+    bad_vec = np.zeros(m, dtype=bool)
+    bad_vec[list(not_vec)] = True
+    finite = np.isfinite(d).all(axis=1)
+    checks = [i == j, ~in_range, dup, bad_vec, ~finite, ~(np.abs(norms - 1.0) <= UNIT_NORM_TOL)]
+    offending = np.logical_or.reduce(checks)
+    if not offending.any():
+        return None
+    e = int(np.argmax(offending))
+    a, b = int(i[e]), int(j[e])
+    messages = [
+        f"self-loop at vertex {a}",
+        f"vertex pair ({a}, {b}) out of range for n={n}",
+        f"duplicate edge ({min(a, b)}, {max(a, b)})",
+        f"direction of edge ({a}, {b}) is not a 3-vector",
+        f"direction of edge ({a}, {b}) has a non-finite component",
+        f"direction of edge ({a}, {b}) has norm {float(norms[e])!r}, "
+        f"deviating from 1 by more than {UNIT_NORM_TOL}",
+    ]
+    return next(msg for check, msg in zip(checks, messages) if check[e])
 
 
 class ViewGraph:
@@ -38,58 +71,67 @@ class ViewGraph:
         """Build from an iterable of (i, j, direction) triples.
 
         The direction is interpreted in the order given: it points from j
-        toward i.  Rejects self-loops, duplicate pairs, out-of-range ids and
-        directions whose norm deviates from 1 by more than ``UNIT_NORM_TOL``
-        (smaller deviations are renormalized away).
+        toward i.  Rejects self-loops, duplicate pairs, out-of-range ids,
+        non-finite directions and directions whose norm deviates from 1 by
+        more than ``UNIT_NORM_TOL`` (smaller deviations are renormalized
+        away), naming the first offending edge in input order.
         """
-        if n < 2:
-            raise ValueError("a view graph needs at least 2 vertices")
-        self._n = int(n)
-
-        rows = []
-        seen = set()
+        ids = []
+        dirs = []
+        not_vec = []
         for i, j, d in edges:
-            i = int(i)
-            j = int(j)
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"vertex pair ({i}, {j}) out of range for n={n}")
-            a, b = (i, j) if i < j else (j, i)
-            if (a, b) in seen:
-                raise ValueError(f"duplicate edge ({a}, {b})")
-            seen.add((a, b))
+            ids.append((int(i), int(j)))
             d = np.asarray(d, dtype=np.float64)
             if d.shape != (3,):
-                raise ValueError(f"direction of edge ({i}, {j}) is not a 3-vector")
-            norm = float(np.linalg.norm(d))
-            if abs(norm - 1.0) > UNIT_NORM_TOL:
-                raise ValueError(
-                    f"direction of edge ({i}, {j}) has norm {norm!r}, "
-                    f"deviating from 1 by more than {UNIT_NORM_TOL}"
-                )
-            if abs(norm - 1.0) > 1e-12:
-                d = d / norm
-            if i > j:
-                d = -d
-            rows.append((a, b, d))
+                not_vec.append(len(dirs))
+                d = np.full(3, np.nan)
+            dirs.append(d)
+        ij = np.array(ids, dtype=np.int64).reshape(-1, 2)
+        self._build(n, ij[:, 0], ij[:, 1], np.array(dirs).reshape(-1, 3), not_vec)
 
-        rows.sort(key=lambda r: (r[0], r[1]))
-        m = len(rows)
-        self._edges = np.array([(a, b) for a, b, _ in rows], dtype=np.int64).reshape(m, 2)
-        self._dirs = (
-            np.array([d for _, _, d in rows], dtype=np.float64).reshape(m, 3)
-        )
-        self._keys = self._edges[:, 0] * self._n + self._edges[:, 1]
-        self._row_of = {(int(a), int(b)): r for r, (a, b) in enumerate(self._edges)}
+    @classmethod
+    def from_arrays(cls, n: int, i, j, directions) -> "ViewGraph":
+        """Build from parallel arrays: edge k joins i[k] and j[k] and its
+        direction points from j[k] toward i[k].  Validation and error
+        messages are those of the constructor."""
+        g = cls.__new__(cls)
+        g._build(n, i, j, directions, ())
+        return g
 
-        adj: list[list[int]] = [[] for _ in range(self._n)]
-        for a, b in self._edges:
-            adj[a].append(int(b))
-            adj[b].append(int(a))
-        self._adj = [np.array(sorted(nb), dtype=np.int64) for nb in adj]
+    def _build(self, n, i, j, d, not_vec) -> None:
+        if n < 2:
+            raise ValueError("a view graph needs at least 2 vertices")
+        n = int(n)
+        i = np.asarray(i, dtype=np.int64)
+        j = np.asarray(j, dtype=np.int64)
+        d = np.asarray(d, dtype=np.float64)
+        if i.ndim != 1 or j.shape != i.shape or d.shape != (i.size, 3):
+            raise ValueError("edge arrays must have shapes (m,), (m,) and (m, 3)")
+        norms = np.linalg.norm(d, axis=1)
+        msg = _first_invalid(n, i, j, d, norms, not_vec)
+        if msg is not None:
+            raise ValueError(msg)
 
-        for arr in (self._edges, self._dirs, self._keys):
+        off = np.abs(norms - 1.0) > _RENORM_TOL
+        if off.any():
+            d = d.copy()
+            d[off] /= norms[off, None]
+        d = d * np.where(i > j, -1.0, 1.0)[:, None]
+        lo = np.minimum(i, j)
+        hi = np.maximum(i, j)
+        order = np.argsort(lo * n + hi)
+
+        self._n = n
+        self._edges = np.stack([lo[order], hi[order]], axis=1)
+        self._dirs = d[order]
+
+        # adjacency in CSR form: sorted neighbours of v are _nbr[_nbr_ptr[v]:_nbr_ptr[v + 1]]
+        src = np.concatenate([lo, hi])
+        dst = np.concatenate([hi, lo])
+        self._nbr = dst[np.argsort(src * n + dst)]
+        self._nbr_ptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+
+        for arr in (self._edges, self._dirs, self._nbr, self._nbr_ptr):
             arr.setflags(write=False)
 
     # -- basic accessors ---------------------------------------------------
@@ -114,19 +156,41 @@ class ViewGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Canonical edge list as tuples."""
-        return [(int(a), int(b)) for a, b in self._edges]
+        return list(zip(self._edges[:, 0].tolist(), self._edges[:, 1].tolist()))
+
+    def subgraph(self, row_mask) -> "ViewGraph":
+        """Graph on the same vertices keeping the edge rows where ``row_mask`` is set."""
+        row_mask = np.asarray(row_mask, dtype=bool)
+        if row_mask.shape != (self.num_edges,):
+            raise ValueError(f"row mask must have shape ({self.num_edges},)")
+        e = self._edges[row_mask]
+        return ViewGraph.from_arrays(self._n, e[:, 0], e[:, 1], self._dirs[row_mask])
+
+    @cached_property
+    def _row_map(self) -> np.ndarray:
+        """Dense (n, n) int32 map from a vertex pair, either order, to its
+        edge row; -1 where there is no edge.  Built on first use."""
+        rm = np.full((self._n, self._n), -1, dtype=np.int32)
+        rows = np.arange(self.num_edges, dtype=np.int32)
+        rm[self._edges[:, 0], self._edges[:, 1]] = rows
+        rm[self._edges[:, 1], self._edges[:, 0]] = rows
+        rm.setflags(write=False)
+        return rm
+
+    def _row(self, i: int, j: int) -> int:
+        if 0 <= i < self._n and 0 <= j < self._n:
+            return int(self._row_map[i, j])
+        return -1
 
     def has_edge(self, i: int, j: int) -> bool:
-        a, b = (i, j) if i < j else (j, i)
-        return (a, b) in self._row_of
+        return self._row(i, j) >= 0
 
     def edge_row(self, i: int, j: int) -> int:
         """Row index of edge {i, j} in the canonical arrays."""
-        a, b = (i, j) if i < j else (j, i)
-        try:
-            return self._row_of[(a, b)]
-        except KeyError:
-            raise KeyError(f"edge ({i}, {j}) not in graph") from None
+        row = self._row(i, j)
+        if row < 0:
+            raise KeyError(f"edge ({i}, {j}) not in graph")
+        return row
 
     def direction(self, i: int, j: int) -> np.ndarray:
         """Direction of edge {i, j}, oriented from j toward i."""
@@ -134,69 +198,91 @@ class ViewGraph:
         return d.copy() if i < j else -d
 
     def neighbors(self, i: int) -> np.ndarray:
-        return self._adj[i]
+        return self._nbr[self._nbr_ptr[i] : self._nbr_ptr[i + 1]]
 
     def degree(self, i: int) -> int:
-        return int(self._adj[i].size)
+        return int(self._nbr_ptr[i + 1] - self._nbr_ptr[i])
 
     # -- triangle machinery --------------------------------------------------
 
+    @cached_property
+    def common_neighbor_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices): the sorted common neighbours of edge row r are
+        ``indices[indptr[r]:indptr[r + 1]]``.  Built on first use.
+
+        Walks the neighbour list of each edge's lower-degree endpoint and
+        keeps the vertices adjacent to the other endpoint, so the cost is
+        the sum over edges of that smaller degree.
+        """
+        n = self._n
+        ptr = self._nbr_ptr
+        deg = np.diff(ptr)
+        lo, hi = self._edges[:, 0], self._edges[:, 1]
+        swap = deg[lo] > deg[hi]
+        walk = np.where(swap, hi, lo)
+        other_base = np.where(swap, lo, hi) * n
+        flat_map = self._row_map.reshape(-1)
+        cnt = deg[walk]
+        ends = np.cumsum(cnt)
+        total = int(ends[-1]) if ends.size else 0
+        cuts = np.searchsorted(ends, np.arange(_WEDGE_BLOCK, total, _WEDGE_BLOCK))
+        counts = [np.zeros(0, dtype=np.int64)]
+        found = [np.zeros(0, dtype=np.int64)]
+        for e0, e1 in zip([0, *cuts], [*cuts, self.num_edges]):
+            if e1 <= e0:
+                continue
+            c = cnt[e0:e1]
+            stop = np.cumsum(c)
+            start = stop - c
+            k = self._nbr[np.arange(stop[-1]) + np.repeat(ptr[walk[e0:e1]] - start, c)]
+            hit = flat_map[np.repeat(other_base[e0:e1], c) + k] >= 0
+            running = np.concatenate([[0], np.cumsum(hit)])
+            counts.append(running[stop] - running[start])
+            found.append(k[hit])
+        indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+        indices = np.concatenate(found)
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        return indptr, indices
+
     def common_neighbors(self, i: int, j: int) -> np.ndarray:
         """Sorted vertices adjacent to both i and j (never includes i or j)."""
-        self.edge_row(i, j)
-        return np.intersect1d(self._adj[i], self._adj[j], assume_unique=True)
-
-    def sample_triples(
-        self,
-        edge: tuple[int, int],
-        s: int,
-        seed: int,
-        rng: np.random.Generator | None = None,
-    ) -> TripleSample:
-        """Draw ``s`` common neighbors of ``edge`` with replacement.
-
-        The stream is derived from (seed, min, max) of the edge, so the
-        sample is independent of edge iteration order.  Passing ``rng``
-        explicitly continues an already-derived edge stream (used when the
-        caller needs follow-up draws from the same stream).
-        """
-        if s < 1:
-            raise ValueError("s must be >= 1")
-        i, j = edge
-        cands = self.common_neighbors(i, j)
-        if cands.size == 0:
-            return TripleSample(edge=(int(i), int(j)), neighbors=cands, unsupported=True)
-        if rng is None:
-            rng = edge_rng(seed, TAG_TRIPLES, i, j)
-        picks = cands[rng.integers(0, cands.size, size=s)]
-        return TripleSample(edge=(int(i), int(j)), neighbors=picks, unsupported=False)
+        row = self.edge_row(i, j)
+        indptr, indices = self.common_neighbor_csr
+        return indices[indptr[row] : indptr[row + 1]]
 
     def edge_rows_of_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Vectorized ``edge_row`` for arrays of endpoints (any orientation).
 
         All queried pairs must be edges of the graph.
         """
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
         lo = np.minimum(a, b)
         hi = np.maximum(a, b)
-        keys = lo * self._n + hi
-        rows = np.searchsorted(self._keys, keys)
-        ok = (rows < self._keys.size) & (self._keys[np.minimum(rows, self._keys.size - 1)] == keys)
-        if not ok.all():
-            bad = np.argmax(~ok)
+        if lo.size and (lo.min() < 0 or hi.max() >= self._n):
+            bad = int(np.argmax((lo < 0) | (hi >= self._n)))
             raise KeyError(f"edge ({int(lo[bad])}, {int(hi[bad])}) not in graph")
-        return rows
+        rows = self._row_map.reshape(-1)[lo * self._n + hi]
+        missing = rows < 0
+        if missing.any():
+            bad = int(np.argmax(missing))
+            raise KeyError(f"edge ({int(lo[bad])}, {int(hi[bad])}) not in graph")
+        return rows.astype(np.intp)
+
+    def directions_of_rows(self, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Directions of edge ``rows``, row k pointing from b[k] toward a[k]."""
+        return self._dirs[rows] * np.where(a < b, 1.0, -1.0)[:, None]
 
     def directions_of_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Vectorized ``direction``: rows point from b[k] toward a[k]."""
-        rows = self.edge_rows_of_pairs(a, b)
-        sign = np.where(a < b, 1.0, -1.0)
-        return self._dirs[rows] * sign[:, None]
+        return self.directions_of_rows(self.edge_rows_of_pairs(a, b), a, b)
 
     # -- connectivity --------------------------------------------------------
 
     def active_vertices(self) -> np.ndarray:
         """Sorted vertices with degree >= 1."""
-        return np.array([v for v in range(self._n) if self._adj[v].size > 0], dtype=np.int64)
+        return np.flatnonzero(np.diff(self._nbr_ptr) > 0)
 
     def is_connected_over_active(self) -> bool:
         """True if every vertex with an edge is in one connected component."""
@@ -207,8 +293,7 @@ class ViewGraph:
         stack = [int(active[0])]
         while stack:
             v = stack.pop()
-            for w in self._adj[v]:
-                w = int(w)
+            for w in self.neighbors(v).tolist():
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)

@@ -14,6 +14,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .aabstats import EdgeStatistics
 from .graph import ViewGraph
 
@@ -53,28 +55,29 @@ def filter_edges(g: ViewGraph, stats: EdgeStatistics, policy: ScreeningPolicy) -
     (i, j) kept first.  Unsupported edges survive unless the policy drops
     them.  An empty survivor set is an error.
     """
-    supported = []
-    for edge in g.edges():
+    vals = np.full(g.num_edges, np.nan)
+    unsupported = np.zeros(g.num_edges, dtype=bool)
+    for row, edge in enumerate(g.edges()):
         if edge in stats.values:
-            supported.append(edge)
-        elif edge not in stats.unsupported:
+            vals[row] = stats.values[edge]
+        elif edge in stats.unsupported:
+            unsupported[row] = True
+        else:
             raise ValueError(f"statistics do not cover edge {edge}")
+    supported = np.flatnonzero(~unsupported)
 
+    kept = np.zeros(g.num_edges, dtype=bool)
     if policy.mode == "keep_fraction":
-        ranked = sorted(supported, key=lambda e: (stats.values[e], e))
-        keep_n = math.ceil(policy.keep_fraction * len(supported))
-        kept = set(ranked[:keep_n])
+        # rows are in canonical edge order, so a stable sort breaks ties by edge
+        ranked = supported[np.argsort(vals[supported], kind="stable")]
+        kept[ranked[: math.ceil(policy.keep_fraction * supported.size)]] = True
     else:
-        kept = {e for e in supported if stats.values[e] <= policy.threshold}
+        kept[supported[vals[supported] <= policy.threshold]] = True
 
-    survivors = [
-        (i, j, g.direction(i, j))
-        for (i, j) in g.edges()
-        if (i, j) in kept or ((i, j) in stats.unsupported and not policy.drop_unsupported)
-    ]
-    if not survivors:
+    survivors = kept | (unsupported & (not policy.drop_unsupported))
+    if not survivors.any():
         raise ValueError("screening removed every edge")
-    return ViewGraph(g.n, survivors)
+    return g.subgraph(survivors)
 
 
 def solvable_component(g: ViewGraph, min_degree: int = 2) -> ViewGraph:
@@ -100,8 +103,7 @@ def solvable_component(g: ViewGraph, min_degree: int = 2) -> ViewGraph:
         if not alive[v]:
             continue
         alive[v] = False
-        for w in g.neighbors(v):
-            w = int(w)
+        for w in g.neighbors(v).tolist():
             if alive[w]:
                 deg[w] -= 1
                 if deg[w] < min_degree:
@@ -121,8 +123,7 @@ def solvable_component(g: ViewGraph, min_degree: int = 2) -> ViewGraph:
         stack = [start]
         while stack:
             v = stack.pop()
-            for w in g.neighbors(v):
-                w = int(w)
+            for w in g.neighbors(v).tolist():
                 if alive[w] and w not in seen:
                     seen.add(w)
                     comp.append(w)
@@ -130,12 +131,9 @@ def solvable_component(g: ViewGraph, min_degree: int = 2) -> ViewGraph:
         if len(comp) > len(best) or (len(comp) == len(best) and min(comp) < min(best)):
             best = comp
 
-    keep = set(best)
-    survivors = [
-        (int(i), int(j), g.direction(int(i), int(j)))
-        for i, j in g.edge_array
-        if int(i) in keep and int(j) in keep
-    ]
-    if not survivors:
+    keep = np.zeros(g.n, dtype=bool)
+    keep[best] = True
+    survivors = keep[g.edge_array[:, 0]] & keep[g.edge_array[:, 1]]
+    if not survivors.any():
         raise ValueError("largest component has no edges")
-    return ViewGraph(g.n, survivors)
+    return g.subgraph(survivors)

@@ -6,9 +6,10 @@ replaced by a uniform sphere vector with probability q, otherwise perturbed
 by sigma-scaled uniform noise and renormalized.
 
 Draw order is fixed: locations first, then one inclusion draw per vertex
-pair in lexicographic order, then per-edge corruption draws from streams
-keyed by the edge itself.  Changing p therefore never reshuffles the
-corruption outcome of an edge present under both values of p.
+pair in lexicographic order, then per-edge corruption draws from
+counter-based streams keyed by the edge itself.  Changing p therefore never
+reshuffles the corruption outcome of an edge present under both values of
+p.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from .streams import (
     TAG_EDGE_PRESENCE,
     TAG_LOCATIONS,
     derive_rng,
-    edge_rng,
+    edge_hash,
+    unit_interval,
 )
 
 __all__ = ["UCParams", "GroundTruth", "generate_uc"]
@@ -68,13 +70,22 @@ class GroundTruth:
 
 def _draw_locations(params: UCParams) -> np.ndarray:
     rng = derive_rng(params.seed, TAG_LOCATIONS)
+    # rows compared per block: keeps the (rows, n, 3) differences near 8 MB
+    block = max(1, (1 << 20) // (3 * params.n))
     while True:
         t = rng.normal(size=(params.n, 3))
-        diff = t[:, None, :] - t[None, :, :]
-        dist = np.linalg.norm(diff, axis=2)
-        np.fill_diagonal(dist, np.inf)
-        if dist.min() >= _COINCIDENT_TOL:
+        if all(
+            _min_distance(t, lo, min(lo + block, params.n)) >= _COINCIDENT_TOL
+            for lo in range(0, params.n, block)
+        ):
             return t
+
+
+def _min_distance(t: np.ndarray, lo: int, hi: int) -> float:
+    """Smallest distance from rows lo..hi-1 of t to any other row."""
+    dist = np.linalg.norm(t[lo:hi, None, :] - t[None, :, :], axis=2)
+    dist[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+    return float(dist.min())
 
 
 def _draw_edge_set(params: UCParams) -> np.ndarray:
@@ -85,39 +96,37 @@ def _draw_edge_set(params: UCParams) -> np.ndarray:
     return np.stack([iu[keep], ju[keep]], axis=1)
 
 
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    return v / np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])[:, None]
+
+
 def generate_uc(params: UCParams) -> tuple[ViewGraph, GroundTruth]:
-    """Generate one UC(n, p, q, sigma) instance, deterministic in the seed."""
+    """Generate one UC(n, p, q, sigma) instance, deterministic in the seed.
+
+    Edge {i, j} uses draw indices 0..2 of its counter-based stream: u0 < q
+    marks it corrupted, and (u1, u2) give the sphere point
+    (sqrt(1 - z^2) cos phi, sqrt(1 - z^2) sin phi, z) with z = 1 - 2 u1 and
+    phi = 2 pi u2, uniform on S2.  That point is the corrupted direction, or
+    else the noise direction added at scale sigma.
+    """
     t = _draw_locations(params)
     pairs = _draw_edge_set(params)
+    i, j = pairs[:, 0], pairs[:, 1]
+    clean = _unit_rows(t[i] - t[j])
 
-    gt = GroundTruth(locations={v: t[v].copy() for v in range(params.n)})
-    edges = []
-    for i, j in pairs:
-        i = int(i)
-        j = int(j)
-        diff = t[i] - t[j]
-        clean = diff / np.linalg.norm(diff)
+    u = unit_interval(edge_hash(params.seed, TAG_CORRUPTION, i[:, None], j[:, None], np.arange(3)))
+    corrupted = u[:, 0] < params.q
+    z = 1.0 - 2.0 * u[:, 1]
+    phi = 2.0 * np.pi * u[:, 2]
+    r = np.sqrt(1.0 - z * z)
+    sphere = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+    noisy = clean if params.sigma == 0.0 else _unit_rows(clean + params.sigma * sphere)
+    gamma = np.where(corrupted[:, None], sphere, noisy)
 
-        rng = edge_rng(params.seed, TAG_CORRUPTION, i, j)
-        corrupted = rng.random() < params.q
-        if corrupted:
-            v = rng.normal(size=3)
-            while (nv := np.linalg.norm(v)) == 0.0:
-                v = rng.normal(size=3)
-            gamma = v / nv
-        else:
-            eps = rng.normal(size=3)
-            while (ne := np.linalg.norm(eps)) == 0.0:
-                eps = rng.normal(size=3)
-            eps = eps / ne
-            if params.sigma == 0.0:
-                gamma = clean.copy()
-            else:
-                noisy = clean + params.sigma * eps
-                gamma = noisy / np.linalg.norm(noisy)
-
-        edges.append((i, j, gamma))
-        gt.clean_directions[(i, j)] = clean
-        gt.corrupted_flags[(i, j)] = bool(corrupted)
-
-    return ViewGraph(params.n, edges), gt
+    edges = list(zip(i.tolist(), j.tolist()))
+    gt = GroundTruth(
+        locations={v: t[v].copy() for v in range(params.n)},
+        clean_directions=dict(zip(edges, clean)),
+        corrupted_flags=dict(zip(edges, corrupted.tolist())),
+    )
+    return ViewGraph.from_arrays(params.n, i, j, gamma), gt

@@ -7,8 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from scipy.stats import chi2
+
+from aabscreen import aabstats
 from aabscreen.aabstats import AABConfig, ir_aab, naive_aab
 from aabscreen.graph import ViewGraph
+from aabscreen.sphere import aab_inconsistency_batch, degenerate_base_mask
+from aabscreen.streams import TAG_TRIPLES, edge_rng
 from aabscreen.synthetic import UCParams, generate_uc
 
 from conftest import complete_graph_from_locations
@@ -28,6 +33,55 @@ def exact_zero_triangle_plus_noise() -> ViewGraph:
         (1, 3): np.array([0.0, 1.0, 0.0]),
     }
     return ViewGraph(4, [(i, j, v) for (i, j), v in dirs.items()])
+
+
+def picks_of(stats, g, edge) -> np.ndarray:
+    """Cached common-neighbour picks of one edge, in draw order."""
+    return stats.cache.neighbors[stats.cache.edge_rows == g.edge_row(*edge)]
+
+
+def pcg64_inconsistencies(g: ViewGraph, cfg: AABConfig) -> dict[int, np.ndarray]:
+    """Per-edge-row cached inconsistencies under the sampler the counter-based
+    draws replaced, kept as a distributional oracle: s picks with replacement
+    from a PCG64 stream per edge, degenerate triangles redrawn from the same
+    stream for at most 8 rounds and then dropped."""
+    out = {}
+    for row, (i, j) in enumerate(g.edges()):
+        cands = g.common_neighbors(i, j)
+        if cands.size == 0:
+            continue
+        rng = edge_rng(cfg.seed, TAG_TRIPLES, i, j)
+        picks = cands[rng.integers(0, cands.size, size=cfg.s)]
+        ii = np.full(cfg.s, i)
+        jj = np.full(cfg.s, j)
+
+        def degenerate():
+            return degenerate_base_mask(
+                g.directions_of_pairs(jj, picks), g.directions_of_pairs(picks, ii)
+            )
+
+        for _ in range(8):
+            bad = degenerate()
+            if not bad.any():
+                break
+            for pos in np.flatnonzero(bad):
+                picks[pos] = cands[int(rng.integers(0, cands.size))]
+        keep = ~degenerate()
+        if keep.any():
+            out[row] = aab_inconsistency_batch(
+                g.directions_of_pairs(ii[keep], jj[keep]),
+                g.directions_of_pairs(jj[keep], picks[keep]),
+                g.directions_of_pairs(picks[keep], ii[keep]),
+            )
+    return out
+
+
+def mean_statistic(per_edge: dict[int, np.ndarray]) -> tuple[float, float]:
+    """Mean naive statistic over supported edges and its sampling variance,
+    from each edge's sample variance over its s picks."""
+    means = np.array([v.mean() for v in per_edge.values()])
+    var = sum(v.var(ddof=1) / v.size for v in per_edge.values()) / means.size**2
+    return float(means.mean()), float(var)
 
 
 class TestConfig:
@@ -67,18 +121,6 @@ class TestNaive:
         assert stats.unsupported == set(g.edges())
         assert stats.values == {}
 
-    def test_uses_sample_triples_draws(self):
-        g, _ = generate_uc(UCParams(n=25, p=0.6, q=0.2, sigma=0.0, seed=3))
-        cfg = AABConfig(s=12, seed=5)
-        stats = naive_aab(g, cfg)
-        cache = stats.cache
-        for row, edge in enumerate(g.edges()):
-            mask = cache.edge_rows == row
-            if not mask.any():
-                continue
-            expected = g.sample_triples(edge, cfg.s, cfg.seed).neighbors
-            assert np.array_equal(cache.neighbors[mask], expected)
-
     def test_values_in_range(self):
         g, _ = generate_uc(UCParams(n=40, p=0.5, q=0.4, sigma=0.1, seed=6))
         stats = naive_aab(g, AABConfig(s=20, seed=7))
@@ -100,6 +142,126 @@ class TestNaive:
         b = naive_aab(g, cfg)
         assert a.values == b.values
         assert a.unsupported == b.unsupported
+
+
+class TestTrianglePicks:
+    def test_single_candidate_repeats(self):
+        g = ViewGraph(
+            3,
+            [
+                (0, 1, np.array([1.0, 0.0, 0.0])),
+                (0, 2, np.array([0.0, 1.0, 0.0])),
+                (1, 2, np.array([0.0, 0.0, 1.0])),
+            ],
+        )
+        stats = naive_aab(g, AABConfig(s=50, seed=42))
+        picks = picks_of(stats, g, (0, 1))
+        assert (0, 1) not in stats.unsupported
+        assert picks.shape == (50,)
+        assert np.all(picks == 2)
+
+    def test_no_triangles_flagged(self):
+        g = ViewGraph(3, [(0, 1, EZ), (1, 2, EZ)])
+        stats = naive_aab(g, AABConfig(s=50, seed=42))
+        assert (0, 1) in stats.unsupported
+        assert picks_of(stats, g, (0, 1)).size == 0
+
+    def test_deterministic_in_either_orientation(self, rng):
+        t = rng.normal(size=(10, 3))
+        edges = [
+            (i, j, (t[i] - t[j]) / np.linalg.norm(t[i] - t[j]))
+            for i in range(10)
+            for j in range(i + 1, 10)
+        ]
+        g = ViewGraph(10, edges)
+        # the same measurement of edge {2, 7} given in the reversed order
+        flipped = ViewGraph(
+            10, [(j, i, -d) if (i, j) == (2, 7) else (i, j, d) for i, j, d in edges]
+        )
+        cfg = AABConfig(s=25, seed=9)
+        a = picks_of(naive_aab(g, cfg), g, (2, 7))
+        b = picks_of(naive_aab(g, cfg), g, (2, 7))
+        c = picks_of(naive_aab(flipped, cfg), flipped, (7, 2))
+        assert a.size == 25
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, c)
+
+    def test_samples_are_common_neighbors(self):
+        g, _ = generate_uc(UCParams(n=40, p=0.4, q=0.2, sigma=0.05, seed=3))
+        cache = naive_aab(g, AABConfig(s=40, seed=3)).cache
+        edges = g.edges()
+        for row, k in zip(cache.edge_rows.tolist(), cache.neighbors.tolist()):
+            assert k in g.common_neighbors(*edges[row])
+
+    def test_picks_uniform_over_common_neighbors(self, rng):
+        # K9: every edge has the 7 other vertices as common neighbours.  Each
+        # edge's pick counts give a chi-square statistic with 6 degrees of
+        # freedom; over 36 edges x 3000 = 108000 draws the bound is its upper
+        # 1e-6 / 36 quantile per edge, and the pooled sum (216 degrees of
+        # freedom) stays under its upper 1e-6 quantile.
+        g = complete_graph_from_locations(rng.normal(size=(9, 3)))
+        s = 3000
+        cache = naive_aab(g, AABConfig(s=s, seed=123)).cache
+        assert cache.neighbors.size == 36 * s
+        total = 0.0
+        for row, (i, j) in enumerate(g.edges()):
+            picks = cache.neighbors[cache.edge_rows == row]
+            cands = g.common_neighbors(i, j)
+            observed = np.array([(picks == k).sum() for k in cands])
+            assert observed.sum() == s
+            stat = float(((observed - s / 7) ** 2 / (s / 7)).sum())
+            assert stat < chi2.isf(1e-6 / 36, 6)
+            total += stat
+        assert total < chi2.isf(1e-6, 36 * 6)
+
+    def test_picks_ignore_edges_elsewhere(self):
+        # an edge's picks depend only on the seed, the edge and its common
+        # neighbours: dropping an edge {u, v} leaves every edge touching
+        # neither u nor v with the same picks
+        g, _ = generate_uc(UCParams(n=40, p=0.3, q=0.2, sigma=0.05, seed=8))
+        cfg = AABConfig(s=20, seed=8)
+        full = naive_aab(g, cfg)
+        for drop in (0, g.num_edges // 2, g.num_edges - 1):
+            u, v = (int(x) for x in g.edge_array[drop])
+            sub = g.subgraph(np.arange(g.num_edges) != drop)
+            reduced = naive_aab(sub, cfg)
+            for edge in sub.edges():
+                if u not in edge and v not in edge:
+                    assert np.array_equal(picks_of(reduced, sub, edge), picks_of(full, g, edge))
+
+    def test_agrees_with_pcg64_sampler(self):
+        # mean naive statistic over 4 seeds, both samplers on one instance;
+        # the difference must lie within 4 standard errors
+        g, _ = generate_uc(UCParams(n=60, p=0.5, q=0.2, sigma=0.05, seed=4))
+        new_mean = old_mean = new_var = old_var = 0.0
+        seeds = range(4)
+        for seed in seeds:
+            cfg = AABConfig(s=50, seed=seed)
+            cache = naive_aab(g, cfg).cache
+            rows = np.unique(cache.edge_rows)
+            m, v = mean_statistic({r: cache.inconsistencies[cache.edge_rows == r] for r in rows})
+            new_mean += m / len(seeds)
+            new_var += v / len(seeds) ** 2
+            m, v = mean_statistic(pcg64_inconsistencies(g, cfg))
+            old_mean += m / len(seeds)
+            old_var += v / len(seeds) ** 2
+        assert abs(new_mean - old_mean) <= 4.0 * math.sqrt(new_var + old_var)
+
+    def test_geometry_blocks_do_not_change_values(self, monkeypatch):
+        g, _ = generate_uc(UCParams(n=30, p=0.5, q=0.3, sigma=0.05, seed=5))
+        cfg = AABConfig(s=10, seed=5)
+        whole = naive_aab(g, cfg).cache
+        monkeypatch.setattr(aabstats, "_BLOCK_ROWS", 7)
+        blocked = naive_aab(g, cfg).cache
+        assert np.array_equal(blocked.neighbors, whole.neighbors)
+        assert np.array_equal(blocked.inconsistencies, whole.inconsistencies)
+        i = g.edge_array[whole.edge_rows, 0]
+        j = g.edge_array[whole.edge_rows, 1]
+        k = whole.neighbors
+        direct = aab_inconsistency_batch(
+            g.directions_of_pairs(i, j), g.directions_of_pairs(j, k), g.directions_of_pairs(k, i)
+        )
+        assert np.array_equal(whole.inconsistencies, direct)
 
 
 class TestIrAab:

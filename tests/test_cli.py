@@ -62,6 +62,19 @@ class TestSubcommands:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_direction_is_clean_error(self, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("# aab-edges v1 n=3\n0 1 nan 0 0\n")
+        out = tmp_path / "out.csv"
+        code = run(
+            "screen", "--edges", edges, "--stat", "naive", "--seed", 1, "--out", out,
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "edges.txt:2" in err and "non-finite" in err
+        assert not out.exists()
+
     def test_verify_modes(self, tmp_path):
         for mode, extra in (
             ("z", []),

@@ -48,6 +48,13 @@ class TestEdgeList:
         with pytest.raises(FileFormatError, match="norm"):
             parse_edge_list(str(path))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_direction(self, tmp_path, bad):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# aab-edges v1 n=5\n0 1 1 0 0\n0 2 {bad} 0 0\n")
+        with pytest.raises(FileFormatError, match=r"bad.txt:3: .*non-finite"):
+            parse_edge_list(str(path))
+
     def test_duplicate_edge(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# aab-edges v1 n=5\n0 1 1 0 0\n0 1 0 1 0\n")
@@ -86,6 +93,12 @@ class TestLocations:
         worst = max(np.abs(locs[v] - gt.locations[v]).max() for v in locs)
         assert worst == 0.0
 
+    def test_non_finite_coordinate(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# aab-locations v1 n=3\n0 1 2 3\n1 4 nan 6\n")
+        with pytest.raises(FileFormatError, match=r"bad.txt:3: .*non-finite"):
+            parse_locations(str(path))
+
     def test_duplicate_vertex(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# aab-locations v1 n=3\n0 1 2 3\n0 4 5 6\n")
@@ -105,6 +118,15 @@ class TestStatistics:
         assert len(back.edges) == g.num_edges
         worst = max(abs(back.values[e] - stats.values[e]) for e in stats.values)
         assert worst == 0.0
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_supported_value(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            f"# aab-stats v1 n=3\ni,j,statistic,unsupported\n0,1,nan,1\n0,2,{bad},0\n"
+        )
+        with pytest.raises(FileFormatError, match=r"bad.csv:4: .*not finite"):
+            parse_statistics(str(path))
 
     def test_duplicate_row(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from aabscreen import graph as graph_module
 from aabscreen.graph import ViewGraph
 
 from conftest import unit
@@ -39,6 +40,35 @@ class TestConstruction:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             ViewGraph(3, [(0, 3, EZ)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_direction(self, bad):
+        with pytest.raises(ValueError, match=r"edge \(2, 1\) has a non-finite component"):
+            ViewGraph(3, [(0, 1, EZ), (2, 1, np.array([bad, 0.0, 0.0]))])
+
+    def test_reports_first_offending_edge_in_input_order(self):
+        cases = [
+            ([(0, 1, EZ), (2, 2, EZ), (0, 7, EZ)], "self-loop at vertex 2"),
+            ([(0, 7, EZ), (2, 2, EZ)], r"vertex pair \(0, 7\) out of range"),
+            ([(0, 1, EZ), (1, 0, [1.0, 2.0]), (3, 3, EZ)], r"duplicate edge \(0, 1\)"),
+            ([(0, 1, [1.0, 2.0]), (0, 1, EZ)], r"edge \(0, 1\) is not a 3-vector"),
+            ([(0, 1, 2 * EZ), (1, 2, [np.nan, 0, 0])], r"edge \(0, 1\) has norm 2.0"),
+        ]
+        for edges, message in cases:
+            with pytest.raises(ValueError, match=message):
+                ViewGraph(4, edges)
+
+    def test_from_arrays_matches_constructor(self, rng):
+        t = rng.normal(size=(7, 3))
+        pairs = [(3, 1), (0, 6), (5, 2), (1, 4), (6, 5)]
+        dirs = np.array([(t[i] - t[j]) / np.linalg.norm(t[i] - t[j]) for i, j in pairs])
+        a = ViewGraph(7, [(i, j, d) for (i, j), d in zip(pairs, dirs)])
+        i, j = np.array(pairs).T
+        b = ViewGraph.from_arrays(7, i, j, dirs)
+        assert np.array_equal(a.edge_array, b.edge_array)
+        assert np.array_equal(a.direction_array, b.direction_array)
+        with pytest.raises(ValueError, match=r"duplicate edge \(1, 3\)"):
+            ViewGraph.from_arrays(7, np.append(i, 1), np.append(j, 3), np.vstack([dirs, EZ]))
 
     def test_directions_renormalized(self):
         g = ViewGraph(2, [(0, 1, EZ * (1 + 5e-7))])
@@ -94,6 +124,13 @@ class TestDirection:
         with pytest.raises(KeyError):
             g.edge_rows_of_pairs(np.array([0]), np.array([0]))
 
+    def test_vectorized_lookup_out_of_range(self):
+        g = ViewGraph(3, [(1, 2, EZ)])
+        # pair key 0 * 3 + 5 equals that of (1, 2): range is checked first
+        with pytest.raises(KeyError):
+            g.edge_rows_of_pairs(np.array([0]), np.array([5]))
+        assert not g.has_edge(0, 5)
+
 
 class TestCommonNeighbors:
     def test_triangle(self):
@@ -123,43 +160,48 @@ class TestCommonNeighbors:
         assert np.array_equal(g.common_neighbors(0, 1), g.common_neighbors(1, 0))
 
 
-class TestSampleTriples:
-    def test_single_candidate_repeats(self):
-        g = triangle()
-        sample = g.sample_triples((0, 1), s=50, seed=42)
-        assert not sample.unsupported
-        assert sample.neighbors.shape == (50,)
-        assert np.all(sample.neighbors == 2)
-
-    def test_no_triangles_flagged(self):
-        g = ViewGraph(3, [(0, 1, EZ), (1, 2, EZ)])
-        sample = g.sample_triples((0, 1), s=50, seed=42)
-        assert sample.unsupported
-        assert sample.neighbors.size == 0
-
-    def test_deterministic(self, rng):
-        t = rng.normal(size=(10, 3))
+class TestCommonNeighborCsr:
+    def test_matches_intersection(self, rng, monkeypatch):
+        # blocks of 64 neighbour-list entries exercise the block boundaries
+        t = rng.normal(size=(40, 3))
         edges = [
             (i, j, (t[i] - t[j]) / np.linalg.norm(t[i] - t[j]))
-            for i in range(10)
-            for j in range(i + 1, 10)
+            for i in range(40)
+            for j in range(i + 1, 40)
+            if rng.random() < 0.3
         ]
-        g = ViewGraph(10, edges)
-        a = g.sample_triples((2, 7), s=25, seed=9)
-        b = g.sample_triples((2, 7), s=25, seed=9)
-        assert np.array_equal(a.neighbors, b.neighbors)
-        # seed goes through the canonical pair, so orientation is irrelevant
-        c = g.sample_triples((7, 2), s=25, seed=9)
-        assert np.array_equal(a.neighbors, c.neighbors)
+        for block in (1 << 20, 64):
+            monkeypatch.setattr(graph_module, "_WEDGE_BLOCK", block)
+            g = ViewGraph(40, edges)
+            indptr, indices = g.common_neighbor_csr
+            assert indptr.size == g.num_edges + 1
+            for row, (i, j) in enumerate(g.edges()):
+                expected = np.intersect1d(g.neighbors(i), g.neighbors(j))
+                assert np.array_equal(indices[indptr[row] : indptr[row + 1]], expected)
 
-    def test_samples_are_common_neighbors(self, rng):
-        t = rng.normal(size=(10, 3))
-        edges = [
-            (i, j, (t[i] - t[j]) / np.linalg.norm(t[i] - t[j]))
-            for i in range(10)
-            for j in range(i + 1, 10)
-        ]
-        g = ViewGraph(10, edges)
-        sample = g.sample_triples((0, 1), s=40, seed=3)
-        cands = set(int(v) for v in g.common_neighbors(0, 1))
-        assert set(int(v) for v in sample.neighbors) <= cands
+    def test_edgeless_graph(self):
+        g = ViewGraph(3, [])
+        indptr, indices = g.common_neighbor_csr
+        assert list(indptr) == [0] and indices.size == 0
+
+
+class TestSubgraph:
+    def test_keeps_masked_rows(self, rng):
+        t = rng.normal(size=(6, 3))
+        g = ViewGraph(
+            6,
+            [
+                (i, j, (t[i] - t[j]) / np.linalg.norm(t[i] - t[j]))
+                for i in range(6)
+                for j in range(i + 1, 6)
+            ],
+        )
+        mask = np.arange(g.num_edges) % 3 == 0
+        sub = g.subgraph(mask)
+        assert sub.n == g.n
+        assert np.array_equal(sub.edge_array, g.edge_array[mask])
+        assert np.array_equal(sub.direction_array, g.direction_array[mask])
+
+    def test_rejects_misshapen_mask(self):
+        with pytest.raises(ValueError, match="row mask"):
+            triangle().subgraph(np.ones(2, dtype=bool))

@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from aabscreen import synthetic
 from aabscreen.sphere import great_circle_distance_batch
+from aabscreen.streams import TAG_LOCATIONS, derive_rng
 from aabscreen.synthetic import UCParams, generate_uc
 
 
@@ -96,3 +98,29 @@ class TestGenerate:
         for e in shared:
             assert np.array_equal(sparse.direction(*e), dense.direction(*e))
             assert gt_s.corrupted_flags[e] == gt_d.corrupted_flags[e]
+
+    def test_corrupted_directions_uniform_on_sphere(self):
+        # Archimedes: the z-component of a uniform point on S2 is U[-1, 1].
+        # KS statistic over ~2e4 corrupted edges; bound: the asymptotic upper
+        # 1e-4 quantile sqrt(ln(2 / 1e-4) / (2N)).
+        g, gt = generate_uc(UCParams(n=200, p=1.0, q=1.0, sigma=0.05, seed=31))
+        assert all(gt.corrupted_flags.values())
+        z = np.sort(g.direction_array[:, 2])
+        size = z.size
+        cdf = (z + 1.0) / 2.0
+        ks = max((np.arange(1, size + 1) / size - cdf).max(), (cdf - np.arange(size) / size).max())
+        assert ks < math.sqrt(math.log(2.0 / 1e-4) / (2.0 * size))
+
+
+class TestLocations:
+    def test_first_draw_kept(self):
+        params = UCParams(n=150, p=0.1, q=0.2, sigma=0.05, seed=17)
+        expected = derive_rng(17, TAG_LOCATIONS).normal(size=(150, 3))
+        assert np.array_equal(synthetic._draw_locations(params), expected)
+
+    def test_coincident_rows_found_across_blocks(self):
+        t = np.random.default_rng(3).normal(size=(9, 3))
+        t[7] = t[1]
+        assert synthetic._min_distance(t, 0, 4) == 0.0
+        assert synthetic._min_distance(t, 4, 9) == 0.0
+        assert synthetic._min_distance(np.delete(t, 7, axis=0), 0, 8) > 0.0
