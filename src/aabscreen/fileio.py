@@ -111,37 +111,59 @@ def write_edge_list(g: ViewGraph, path: str, metadata: Mapping[str, object] | No
 
 
 def parse_edge_list(path: str) -> ViewGraph:
-    """Read a view graph, validating ids, uniqueness, and direction norms."""
+    """Read a view graph, validating ids, uniqueness, and direction norms.
+
+    Field counts, ids and uniqueness are checked line by line, the direction
+    checks (finite components, unit norm) afterwards as array operations over
+    the lines read; the error reported is the first in file order either way.
+    """
     rd = _Reader(path)
     n = rd.check_header(_EDGE_HEADER)
+    linenos = []
     ids = []
     dirs = []
     seen = set()
-    for lineno, line in rd.data_lines():
-        parts = line.split()
-        if len(parts) != 5:
-            rd.fail(lineno, f"expected 5 fields, got {len(parts)}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-            d = np.array([float(parts[2]), float(parts[3]), float(parts[4])])
-        except ValueError:
-            rd.fail(lineno, "could not parse vertex ids or direction components")
-        if i >= j:
-            rd.fail(lineno, f"edge ({i}, {j}) violates i < j")
-        if not (0 <= i < n and j < n):
-            rd.fail(lineno, f"vertex pair ({i}, {j}) out of range for n={n}")
-        if (i, j) in seen:
-            rd.fail(lineno, f"duplicate edge ({i}, {j})")
-        seen.add((i, j))
-        if not np.isfinite(d).all():
-            rd.fail(lineno, "direction has a non-finite component")
-        norm = float(np.linalg.norm(d))
-        if abs(norm - 1.0) > _NORM_REJECT_TOL:
-            rd.fail(lineno, f"direction norm {norm!r} deviates from 1 by more than {_NORM_REJECT_TOL}")
-        ids.append((i, j))
-        dirs.append(d / norm)
+    later = None
+    try:
+        for lineno, line in rd.data_lines():
+            parts = line.split()
+            if len(parts) != 5:
+                rd.fail(lineno, f"expected 5 fields, got {len(parts)}")
+            try:
+                i, j = int(parts[0]), int(parts[1])
+                d = tuple(map(float, parts[2:]))
+            except ValueError:
+                rd.fail(lineno, "could not parse vertex ids or direction components")
+            if i >= j:
+                rd.fail(lineno, f"edge ({i}, {j}) violates i < j")
+            if not (0 <= i < n and j < n):
+                rd.fail(lineno, f"vertex pair ({i}, {j}) out of range for n={n}")
+            if (i, j) in seen:
+                rd.fail(lineno, f"duplicate edge ({i}, {j})")
+            seen.add((i, j))
+            linenos.append(lineno)
+            ids.append((i, j))
+            dirs.extend(d)
+    except FileFormatError as exc:
+        # the lines before this one may still hold a bad direction
+        later = exc
+
+    d = np.array(dirs, dtype=np.float64).reshape(-1, 3)
+    finite = np.isfinite(d).all(axis=1)
+    norms = np.linalg.norm(d, axis=1)
+    bad = np.flatnonzero(~finite | (np.abs(norms - 1.0) > _NORM_REJECT_TOL))
+    if bad.size:
+        k = bad[0]
+        if not finite[k]:
+            rd.fail(linenos[k], "direction has a non-finite component")
+        rd.fail(
+            linenos[k],
+            f"direction norm {float(norms[k])!r} deviates from 1 by more than {_NORM_REJECT_TOL}",
+        )
+    if later is not None:
+        raise later
     ij = np.array(ids, dtype=np.int64).reshape(-1, 2)
-    return ViewGraph.from_arrays(n, ij[:, 0], ij[:, 1], np.array(dirs).reshape(-1, 3))
+    return ViewGraph.from_arrays(n, ij[:, 0], ij[:, 1], d / norms[:, None])
 
 
 # -- locations ---------------------------------------------------------------

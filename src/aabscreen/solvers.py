@@ -13,6 +13,17 @@ is globally minimized by near-collapsed configurations once a sizable
 fraction of directions is corrupted, and plain reweighting of the spectral
 problem descends straight into them.
 
+Both solves are dense and factor instead of diagonalizing.  The spectral
+solve assembles the 3N x 3N form in one float64 array, its only O(N^2)
+memory (72 MB at N = 1000), adds the centroid lift and a tiny diagonal
+shift in place, Cholesky-factors it in place, and finds the two smallest
+eigenpairs by shift-invert block Krylov iteration on that one factor.  Each
+IRLS round builds its N x N Laplacian with one bincount and solves it with
+one Cholesky factorization.  A factorization that fails raises
+DegenerateInstanceError.  At the densities screening leaves (tens of edges
+per vertex) a sparse LU of these matrices fills most of the dense one, and
+preconditioned CG needs hundreds of iterations per solve.
+
 Locations are recoverable only up to translation and scale (and a global
 reflection, since the residuals are even in t).  Estimates are gauge-fixed
 to zero centroid and unit sum of squared norms over the solved vertices;
@@ -44,6 +55,20 @@ _GAP_TOL = 1e-10
 
 _CONVERGENCE_TOL = 1e-10
 
+# Diagonal shift, relative to the centroid lift, that keeps the lifted form
+# positive definite when its smallest eigenvalue is 0.
+_SHIFT = 1e-8
+
+# Krylov eigensolver: start vectors, steps between convergence checks,
+# residual tolerance relative to the largest Ritz value, and basis cap.
+_KRYLOV_BLOCK = 2
+_KRYLOV_CHECK = 4
+_KRYLOV_TOL = 1e-13
+_KRYLOV_MAX_COLS = 400
+
+# Rows per block when scanning the dense form for its largest row sum.
+_ROW_BLOCK = 256
+
 
 class DegenerateInstanceError(RuntimeError):
     """The directions do not determine the locations up to gauge."""
@@ -74,25 +99,94 @@ def _solver_vertices(g: ViewGraph) -> np.ndarray:
     return verts
 
 
-def _assemble(g: ViewGraph, verts: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
-    """Dense 3N x 3N quadratic form of the weighted projection objective."""
+def _vertex_positions(g: ViewGraph, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Map from vertex id to row of the solve, and the rows of each edge's ends."""
     pos = np.full(g.n, -1, dtype=np.int64)
     pos[verts] = np.arange(verts.size)
-    ip = pos[g.edge_array[:, 0]]
-    jp = pos[g.edge_array[:, 1]]
+    return pos, pos[g.edge_array[:, 0]], pos[g.edge_array[:, 1]]
 
+
+def _assemble(g: ViewGraph, verts: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+    """Dense 3N x 3N quadratic form of the weighted projection objective.
+
+    Edge e between rows i and j adds its projector P_e to the (i, i) and
+    (j, j) blocks and -P_e to the (i, j) and (j, i) blocks; one bincount over
+    flat indices sums all of them straight into the result.
+    """
+    _, ip, jp = _vertex_positions(g, verts)
     d = g.direction_array
     proj = np.eye(3)[None, :, :] - d[:, :, None] * d[:, None, :]
     if weights is not None:
         proj = proj * weights[:, None, None]
 
-    n = verts.size
-    blocks = np.zeros((n, n, 3, 3))
-    np.add.at(blocks, (ip, ip), proj)
-    np.add.at(blocks, (jp, jp), proj)
-    np.add.at(blocks, (ip, jp), -proj)
-    np.add.at(blocks, (jp, ip), -proj)
-    return blocks.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
+    n3 = 3 * verts.size
+    comp = np.arange(3)
+    rows = 3 * np.stack([ip, jp, ip, jp])[:, :, None, None] + comp[:, None]
+    cols = 3 * np.stack([ip, jp, jp, ip])[:, :, None, None] + comp
+    vals = np.stack([proj, proj, -proj, -proj])
+    flat = np.bincount((rows * n3 + cols).ravel(), weights=vals.ravel(), minlength=n3 * n3)
+    return flat.reshape(n3, n3)
+
+
+def _cholesky(a: np.ndarray, what: str):
+    """Cholesky factor of the symmetric ``a``, computed in its own storage."""
+    try:
+        # a.T is the Fortran-ordered view of the same symmetric matrix, so
+        # LAPACK factors it in place instead of copying it first
+        return scipy.linalg.cho_factor(a.T, overwrite_a=True)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateInstanceError(f"{what} is not positive definite: {exc}") from None
+
+
+def _top_inverse_pairs(factor, dim: int) -> np.ndarray:
+    """Eigenvectors of the two largest eigenvalues of the inverse of a
+    factored symmetric positive definite matrix, as the columns of a
+    (dim, 2) array.
+
+    Block Krylov iteration on the inverse from a fixed start block, with
+    full reorthogonalization.  Every few steps a Rayleigh-Ritz projection
+    gives the two leading Ritz pairs; it stops once both residuals are below
+    ``_KRYLOV_TOL`` times the largest Ritz value, or once the basis spans the
+    whole space.  A block of two finds a doubled leading eigenvalue, the
+    signature of a degenerate instance, which a single start vector cannot.
+    """
+    cap = min(dim, _KRYLOV_MAX_COLS)
+    # column-major, so that the columns not reached take no memory
+    basis = np.empty((dim, cap), order="F")
+    images = np.empty((dim, cap), order="F")
+    block = min(_KRYLOV_BLOCK, dim)
+    basis[:, :block] = np.linalg.qr(np.random.default_rng(0).standard_normal((dim, block)))[0]
+    k = 0
+    step = 0
+    while True:
+        q = basis[:, k : k + block]
+        w = scipy.linalg.cho_solve(factor, q, check_finite=False)
+        images[:, k : k + block] = w
+        k += block
+        step += 1
+        if step % _KRYLOV_CHECK == 0 or k == cap:
+            h = basis[:, :k].T @ images[:, :k]
+            nu, y = np.linalg.eigh(h + h.T)
+            nu, y = nu[:-3:-1] / 2.0, y[:, :-3:-1]
+            x = basis[:, :k] @ y
+            res = np.linalg.norm(images[:, :k] @ y - x * nu, axis=0)
+            if res.max() <= _KRYLOV_TOL * nu[0] or k == dim:
+                return x
+            if k == cap:
+                raise DegenerateInstanceError(
+                    f"spectral solve did not converge within {cap} Krylov vectors"
+                )
+        # twice on each side of the QR, so that a nearly dependent new block
+        # cannot bring back directions the basis already holds
+        done = basis[:, :k]
+        block = min(block, cap - k)
+        w = w[:, :block]
+        for _ in range(2):
+            w = w - done @ (done.T @ w)
+        w = np.linalg.qr(w)[0]
+        for _ in range(2):
+            w = w - done @ (done.T @ w)
+        basis[:, k : k + block] = np.linalg.qr(w)[0]
 
 
 def _edge_residuals(g: ViewGraph, pos: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -105,18 +199,47 @@ def _edge_residuals(g: ViewGraph, pos: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.linalg.norm(rej, axis=1)
 
 
-def _solve_weighted(g: ViewGraph, weights: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One constrained eigen-solve; returns (verts, t, residuals)."""
-    verts = _solver_vertices(g)
+def _lowest_eigenpairs(
+    g: ViewGraph, verts: np.ndarray, weights: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two smallest eigenpairs of the centroid-lifted form.
+
+    Returns (eigenvalues, eigenvectors as the columns of a (3N, 2) array).
+    """
     n = verts.size
     a = _assemble(g, verts, weights)
 
     # Rigid translations span a 3-dim null space of the form; lift them with
     # a centroid penalty so the smallest eigenvector is automatically
-    # centroid-free.
-    mu = 2.0 * float(np.abs(a).sum(axis=1).max()) + 1.0
-    lift = np.kron(np.full((n, n), mu / n), np.eye(3))
-    evals, evecs = scipy.linalg.eigh(a + lift, subset_by_index=[0, 1])
+    # centroid-free.  Scanning in row blocks keeps the temporary of
+    # absolute values small.
+    rows = range(0, 3 * n, _ROW_BLOCK)
+    mu = 2.0 * max(float(np.abs(a[r : r + _ROW_BLOCK]).sum(axis=1).max()) for r in rows) + 1.0
+    blocks = a.reshape(n, 3, n, 3)
+    for c in range(3):
+        blocks[:, c, :, c] += mu / n
+
+    # Shift-invert: the largest eigenvalues of the inverse belong to the
+    # smallest of the form.  The shift keeps the factorization defined when
+    # the smallest eigenvalue is 0 (noise-free directions); eigenvalues are
+    # taken as Rayleigh quotients of the unshifted form, so it cancels.
+    a.reshape(-1)[:: 3 * n + 1] += _SHIFT * mu
+    vecs = _top_inverse_pairs(_cholesky(a, "constrained spectral form"), 3 * n)
+
+    pos, _, _ = _vertex_positions(g, verts)
+    w = 1.0 if weights is None else weights
+    evals = np.empty(2)
+    for k in range(2):
+        t = vecs[:, k].reshape(n, 3)
+        sq = _edge_residuals(g, pos, t) ** 2
+        evals[k] = float((w * sq).sum()) + mu / n * float(np.sum(t.sum(axis=0) ** 2))
+    return evals, vecs
+
+
+def _solve_weighted(g: ViewGraph, weights: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One constrained eigen-solve; returns (verts, t, residuals)."""
+    verts = _solver_vertices(g)
+    evals, evecs = _lowest_eigenpairs(g, verts, weights)
 
     if evals[1] - evals[0] < _GAP_TOL:
         raise DegenerateInstanceError(
@@ -124,12 +247,11 @@ def _solve_weighted(g: ViewGraph, weights: np.ndarray | None) -> tuple[np.ndarra
             "instance is (near-)degenerate"
         )
 
-    t = evecs[:, 0].reshape(n, 3)
+    t = evecs[:, 0].reshape(verts.size, 3)
     t = t - t.mean(axis=0)
     t = t / np.linalg.norm(t)
 
-    pos = np.full(g.n, -1, dtype=np.int64)
-    pos[verts] = np.arange(n)
+    pos, _, _ = _vertex_positions(g, verts)
     return verts, t, _edge_residuals(g, pos, t)
 
 
@@ -185,11 +307,12 @@ def solve_irls_lud(g: ViewGraph, max_iters: int = 100, delta: float = 1e-8) -> L
 
     verts, t, _ = _solve_weighted(g, None)
     n = verts.size
-    pos = np.full(g.n, -1, dtype=np.int64)
-    pos[verts] = np.arange(n)
-    ia = pos[g.edge_array[:, 0]]
-    ja = pos[g.edge_array[:, 1]]
+    pos, ia, ja = _vertex_positions(g, verts)
     gam = g.direction_array
+    # flat indices of each edge's four Laplacian entries and its two rows of
+    # the right-hand side, in the order the bincounts below sum them
+    lap_index = np.concatenate([ia * n + ia, ja * n + ja, ia * n + ja, ja * n + ia])
+    rhs_index = (3 * np.concatenate([ia, ja])[:, None] + np.arange(3)).ravel()
 
     def dots_of(tt):
         return np.einsum("ij,ij->i", tt[ia] - tt[ja], gam)
@@ -221,17 +344,14 @@ def solve_irls_lud(g: ViewGraph, max_iters: int = 100, delta: float = 1e-8) -> L
         r = np.linalg.norm(diffs - ell[:, None] * gam, axis=1)
         w = 1.0 / np.maximum(r, delta)
 
-        lap = np.zeros((n, n))
-        np.add.at(lap, (ia, ia), w)
-        np.add.at(lap, (ja, ja), w)
-        np.add.at(lap, (ia, ja), -w)
-        np.add.at(lap, (ja, ia), -w)
-        rhs = np.zeros((n, 3))
+        lap = np.bincount(lap_index, weights=np.concatenate([w, w, -w, -w]), minlength=n * n)
+        lap = lap.reshape(n, n)
         contrib = (w * ell)[:, None] * gam
-        np.add.at(rhs, ia, contrib)
-        np.add.at(rhs, ja, -contrib)
+        rhs = np.bincount(rhs_index, weights=np.concatenate([contrib, -contrib]).ravel(), minlength=3 * n)
         mu = float(np.trace(lap)) / n + 1.0
-        t_new = scipy.linalg.solve(lap + mu / n, rhs, assume_a="pos")
+        lap += mu / n
+        factor = _cholesky(lap, "weighted Laplacian")
+        t_new = scipy.linalg.cho_solve(factor, rhs.reshape(n, 3), check_finite=False)
         t_new = t_new - t_new.mean(axis=0)
 
         iterations += 1

@@ -152,6 +152,14 @@ def aab_inconsistency(g3: UnitVector3, g1: UnitVector3, g2: UnitVector3) -> Radi
 def aab_inconsistency_batch(G3: np.ndarray, G1: np.ndarray, G2: np.ndarray) -> np.ndarray:
     """Row-wise AAB inconsistencies for (n, 3) arrays of unit vectors.
 
+    Each branch of ``aab_inconsistency`` is evaluated only on its own rows:
+    the projection angle where the projection points into the arc, and
+    elsewhere the distance to the nearer endpoint, -g1 when x <= y and -g2
+    otherwise, through the one arcsine form the sign of its dot product
+    selects.  On an exact tie x == y the two endpoint distances agree only
+    up to rounding, and the value may differ from the smaller of the two in
+    the last bits.
+
     No degeneracy check: callers must mask degenerate bases themselves
     (see ``degenerate_base_mask``); degenerate rows yield garbage.
     """
@@ -159,18 +167,31 @@ def aab_inconsistency_batch(G3: np.ndarray, G1: np.ndarray, G2: np.ndarray) -> n
     y = np.einsum("ij,ij->i", G2, G3)
     z = np.einsum("ij,ij->i", G1, G2)
     inside = (x < y * z) & (y < x * z)
+    out = np.empty(x.shape)
 
+    rows = np.flatnonzero(inside)
+    g1, g2, g3 = G1[rows], G2[rows], G3[rows]
+    xi, yi, zi = x[rows], y[rows], z[rows]
     with np.errstate(divide="ignore", invalid="ignore"):
-        denom = 1.0 - z * z
-        lam1 = (x - y * z) / denom
-        lam2 = (y - x * z) / denom
-    gp = lam1[:, None] * G1 + lam2[:, None] * G2
-    perp = G3 - gp
-    proj_angle = np.arctan2(np.linalg.norm(perp, axis=1), np.linalg.norm(gp, axis=1))
+        denom = 1.0 - zi * zi
+        lam1 = (xi - yi * zi) / denom
+        lam2 = (yi - xi * zi) / denom
+    gp = lam1[:, None] * g1 + lam2[:, None] * g2
+    out[rows] = np.arctan2(np.linalg.norm(g3 - gp, axis=1), np.linalg.norm(gp, axis=1))
 
-    end1 = great_circle_distance_batch(G3, -G1)
-    end2 = great_circle_distance_batch(G3, -G2)
-    return np.where(inside, proj_angle, np.minimum(end1, end2))
+    # the nearer endpoint is -g, g the base vector with the smaller dot
+    # product with g3; g3 - (-g) is the chord to it, g3 + (-g) the chord to
+    # its antipode, whichever is the shorter
+    rows = np.flatnonzero(~inside)
+    xo, yo = x[rows], y[rows]
+    first = xo <= yo
+    g = G2[rows]
+    g[first] = G1[rows[first]]
+    near = np.minimum(xo, yo) <= 0.0
+    chord = G3[rows] + np.where(near, 1.0, -1.0)[:, None] * g
+    half = 2.0 * np.arcsin(np.minimum(1.0, np.linalg.norm(chord, axis=1) / 2.0))
+    out[rows] = np.where(near, half, np.pi - half)
+    return out
 
 
 def _arc_grid_points(g1: np.ndarray, g2: np.ndarray, idx: np.ndarray, steps: int) -> np.ndarray:

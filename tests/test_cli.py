@@ -42,6 +42,15 @@ class TestSubcommands:
             ) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("solver", ["ls", "irls"])
+    def test_solve_deterministic_bytes(self, generated, tmp_path, solver):
+        outs = [tmp_path / f"estimate{k}.txt" for k in range(2)]
+        for out in outs:
+            assert run(
+                "solve", "--edges", generated["edges"], "--solver", solver, "--out", out,
+            ) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_filter_rejects_bad_fraction(self, generated, tmp_path):
         stats = tmp_path / "stats.csv"
         assert run(

@@ -61,6 +61,24 @@ class TestEdgeList:
         with pytest.raises(FileFormatError, match="duplicate"):
             parse_edge_list(str(path))
 
+    @pytest.mark.parametrize(
+        "lines, where, what",
+        [
+            # a bad direction, checked over all lines at once, comes before
+            # a fault a line-by-line check finds
+            (["0 1 1 0 0", "0 2 nan 0 0", "0 3 1 0", "3 1 1 0 0"], 3, "non-finite"),
+            (["0 1 1 0 0", "0 2 2 0 0", "0 1 0 1 0"], 3, "norm"),
+            # and the other way round
+            (["0 1 1 0 0", "0 1 0 1 0", "0 2 nan 0 0"], 3, "duplicate"),
+            (["0 1 1 0 0", "0 7 1 0 0", "0 2 2 0 0"], 3, "out of range"),
+        ],
+    )
+    def test_earliest_fault_is_reported(self, tmp_path, lines, where, what):
+        path = tmp_path / "bad.txt"
+        path.write_text("# aab-edges v1 n=5\n" + "\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match=rf"bad.txt:{where}: .*{what}"):
+            parse_edge_list(str(path))
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# aab-edges v1 n=5\n0 1 1 0\n")

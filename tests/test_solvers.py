@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+from aabscreen import solvers
+from aabscreen.aabstats import AABConfig, ir_aab
+from aabscreen.cli import main
+from aabscreen.fileio import write_edge_list
 from aabscreen.graph import ViewGraph
+from aabscreen.screening import ScreeningPolicy, filter_edges, solvable_component
 from aabscreen.solvers import (
     DegenerateInstanceError,
     _assemble,
+    _lowest_eigenpairs,
+    _solve_weighted,
     align_similarity,
     solve_irls_lud,
     solve_ls_spectral,
@@ -16,6 +26,7 @@ from aabscreen.solvers import (
 from aabscreen.synthetic import UCParams, generate_uc
 
 from conftest import complete_graph_from_locations
+from dense_solvers import dense_form, dense_irls_lud, dense_lowest_eigenpairs, dense_solve_weighted
 
 
 def aligned_errors(est, gt_locs):
@@ -141,6 +152,123 @@ class TestIrls:
         g = complete_graph_from_locations(t)
         with pytest.raises(DegenerateInstanceError):
             solve_irls_lud(g)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_instance(name):
+    """Instances on which the factored solvers are checked against the dense
+    ones: noise-free complete graphs, and UC graphs after screening, the
+    graphs the solvers are run on in the pipeline."""
+    rng = np.random.default_rng(11)
+    if name == "k4":
+        return complete_graph_from_locations(rng.normal(size=(4, 3)))
+    if name == "k20":
+        return complete_graph_from_locations(rng.normal(size=(20, 3)))
+    n, p = {"uc60": (60, 0.5), "uc200": (200, 0.3)}[name]
+    g, _ = generate_uc(UCParams(n=n, p=p, q=0.2, sigma=0.05, seed=8))
+    policy = ScreeningPolicy()
+    kept = filter_edges(g, ir_aab(g, AABConfig(s=50, T=10, seed=8)), policy)
+    return solvable_component(kept, policy.min_degree)
+
+
+def bowtie():
+    """Two triangles sharing vertex 0: connected, but each can scale alone."""
+    t = np.random.default_rng(12).normal(size=(5, 3))
+    edges = []
+    for i, j in ((0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)):
+        d = t[i] - t[j]
+        edges.append((i, j, d / np.linalg.norm(d)))
+    return ViewGraph(5, edges)
+
+
+ORACLE_INSTANCES = ["k4", "k20", "uc60", "uc200"]
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_form_equals_block_assembly(self, weighted):
+        g = oracle_instance("uc60")
+        w = np.random.default_rng(3).uniform(0.1, 2.0, g.num_edges) if weighted else None
+        verts = g.active_vertices()
+        assert np.array_equal(_assemble(g, verts, w), dense_form(g, verts, w))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("name", ORACLE_INSTANCES)
+    def test_spectral_matches_dense(self, name, weighted):
+        g = oracle_instance(name)
+        w = np.random.default_rng(4).uniform(0.1, 2.0, g.num_edges) if weighted else None
+        verts, t, res = _solve_weighted(g, w)
+        verts_o, t_o, res_o = dense_solve_weighted(g, w)
+        assert np.array_equal(verts, verts_o)
+        # the eigenvector sign is arbitrary on both paths
+        sign = 1.0 if np.sum(t * t_o) >= 0.0 else -1.0
+        assert np.abs(sign * t - t_o).max() <= 1e-12
+        assert np.abs(res - res_o).max() <= 1e-12
+
+        evals, _ = _lowest_eigenpairs(g, verts, w)
+        evals_o, _ = dense_lowest_eigenpairs(g, verts, w)
+        gap, gap_o = evals[1] - evals[0], evals_o[1] - evals_o[0]
+        assert abs(gap - gap_o) <= 1e-9 * gap_o
+
+    @pytest.mark.parametrize("name", ORACLE_INSTANCES)
+    def test_irls_matches_dense(self, name):
+        g = oracle_instance(name)
+        est = solve_irls_lud(g)
+        ref = dense_irls_lud(g)
+        assert est.iterations == ref.iterations
+        assert est.converged == ref.converged
+        t = np.array([est.locations[v] for v in sorted(est.locations)])
+        t_o = np.array([ref.locations[v] for v in sorted(ref.locations)])
+        assert np.abs(t - t_o).max() <= 1e-8
+        trace, trace_o = np.array(est.objective_trace), np.array(ref.objective_trace)
+        assert trace.shape == trace_o.shape
+        assert np.all(np.abs(trace - trace_o) <= 1e-9 * np.abs(trace_o))
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: complete_graph_from_locations(np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])), bowtie],
+        ids=["collinear", "non_rigid"],
+    )
+    def test_degenerate_on_both_paths(self, make):
+        g = make()
+        for solve in (solve_ls_spectral, solve_irls_lud, dense_irls_lud):
+            with pytest.raises(DegenerateInstanceError):
+                solve(g)
+        with pytest.raises(DegenerateInstanceError):
+            dense_solve_weighted(g, None)
+
+
+class TestFailedFactorization:
+    def test_indefinite_spectral_form(self, monkeypatch):
+        g = oracle_instance("k4")
+        monkeypatch.setattr(solvers, "_assemble", lambda g, verts, w: -1e3 * np.eye(3 * verts.size))
+        with pytest.raises(DegenerateInstanceError, match="not positive definite"):
+            solve_ls_spectral(g)
+
+    def test_failed_laplacian_factorization(self, monkeypatch):
+        g = oracle_instance("k20")
+        real = scipy.linalg.cho_factor
+
+        def laplacian_fails(a, **kwargs):
+            if a.shape[0] == 20:
+                raise np.linalg.LinAlgError("forced failure")
+            return real(a, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", laplacian_fails)
+        with pytest.raises(DegenerateInstanceError, match="weighted Laplacian"):
+            solve_irls_lud(g, max_iters=5)
+
+    def test_cli_reports_one_line(self, monkeypatch, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        write_edge_list(oracle_instance("k4"), str(edges))
+        monkeypatch.setattr(solvers, "_assemble", lambda g, verts, w: -1e3 * np.eye(3 * verts.size))
+        out = tmp_path / "estimate.txt"
+        code = main(["solve", "--edges", str(edges), "--solver", "ls", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "not positive definite" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestAlignment:

@@ -228,3 +228,74 @@ class TestOracle:
         for k in range(5):
             scan = aab_inconsistency_oracle(g3[k], g1[k], g2[k], 1_000_000)
             assert batch[k] == pytest.approx(scan, abs=1e-12)
+
+
+def all_rows_reference(G3: np.ndarray, G1: np.ndarray, G2: np.ndarray) -> np.ndarray:
+    """The batch kernel as first written: the projection branch and both
+    endpoint distances, each in both arcsine forms, on every row, then
+    selected.  Reference for the kernel that does each branch's work once."""
+    x = np.einsum("ij,ij->i", G1, G3)
+    y = np.einsum("ij,ij->i", G2, G3)
+    z = np.einsum("ij,ij->i", G1, G2)
+    inside = (x < y * z) & (y < x * z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = 1.0 - z * z
+        lam1 = (x - y * z) / denom
+        lam2 = (y - x * z) / denom
+    gp = lam1[:, None] * G1 + lam2[:, None] * G2
+    perp = G3 - gp
+    proj_angle = np.arctan2(np.linalg.norm(perp, axis=1), np.linalg.norm(gp, axis=1))
+    end1 = great_circle_distance_batch(G3, -G1)
+    end2 = great_circle_distance_batch(G3, -G2)
+    return np.where(inside, proj_angle, np.minimum(end1, end2))
+
+
+class TestBatchKernel:
+    def assert_matches_reference(self, G3, G1, G2):
+        """Equal to the reference bit for bit, except on exact x == y ties,
+        where the two endpoint distances may round apart: there within 2 ulp."""
+        got = aab_inconsistency_batch(G3, G1, G2)
+        ref = all_rows_reference(G3, G1, G2)
+        tie = np.einsum("ij,ij->i", G1, G3) == np.einsum("ij,ij->i", G2, G3)
+        assert np.array_equal(got[~tie], ref[~tie])
+        ulp = np.spacing(np.maximum(np.abs(got[tie]), np.abs(ref[tie])))
+        assert np.all(np.abs(got[tie] - ref[tie]) <= 2 * ulp)
+        return tie
+
+    def test_random_rows(self):
+        rng = derive_rng(2024)
+        for _ in range(16):
+            G1, G2, G3 = (random_units(rng, 65536) for _ in range(3))
+            self.assert_matches_reference(G3, G1, G2)
+
+    def test_branch_boundary_rows(self):
+        # g3 = a(-g1) + b nrm, nrm normal to the base plane, projects onto
+        # the ray through -g1: exactly the boundary of the projection branch
+        # (lam2 = 0); the nudges put rows on either side of it in rounding
+        rng = derive_rng(2025)
+        G1, G2 = random_units(rng, 100_000), random_units(rng, 100_000)
+        nrm = np.cross(G1, G2)
+        nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+        ab = rng.normal(size=(100_000, 2))
+        G3 = -ab[:, :1] * G1 + ab[:, 1:] * nrm + rng.normal(size=(100_000, 3)) * 1e-17
+        G3 /= np.linalg.norm(G3, axis=1, keepdims=True)
+        self.assert_matches_reference(G3, G1, G2)
+        self.assert_matches_reference(G3, G2, G1)
+
+    def test_exact_ties(self):
+        # g1 = (a, b, 0), g2 = (a, -b, 0), g3 = (c, 0, d): x and y are equal
+        # in floating point, and the same holds for any shared permutation
+        # of the coordinates
+        rng = derive_rng(2026)
+        k = 50_000
+        a, b, c, d = rng.normal(size=(4, k))
+        zero = np.zeros(k)
+        G1 = np.stack([a, b, zero], axis=1)
+        G2 = np.stack([a, -b, zero], axis=1)
+        G3 = np.stack([c, zero, d], axis=1)
+        G1 /= np.linalg.norm(G1, axis=1, keepdims=True)
+        G2 /= np.linalg.norm(G2, axis=1, keepdims=True)
+        G3 /= np.linalg.norm(G3, axis=1, keepdims=True)
+        for perm in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
+            tie = self.assert_matches_reference(G3[:, perm], G1[:, perm], G2[:, perm])
+            assert tie.all()
