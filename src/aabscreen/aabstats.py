@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import ViewGraph
+from .graph import ViewGraph, edge_tuples
 from .sphere import aab_inconsistency_batch, degenerate_base_mask
 from .streams import TAG_TRIPLES, bounded_index, edge_hash
 
@@ -80,28 +80,37 @@ class IRDiagnostics:
 
 @dataclass
 class EdgeStatistics:
-    """Statistic values per canonical edge.
+    """Statistic values aligned with the rows of ``edge_array``.
 
-    ``values`` holds supported edges only; edges without a single usable
-    triangle are listed in ``unsupported`` instead.  ``per_iteration`` maps
-    round number (0 = the plain average) to a full value map when retention
-    was requested.  ``cache`` carries the sampled triangles and their
+    ``edge_array`` holds sorted, unique vertex pairs, the canonical edge
+    order of a ``ViewGraph``.  ``value`` is NaN on unsupported edges, those
+    without a single usable triangle.  ``per_iteration`` (reweighted
+    statistic only) stacks the values after each round, row 0 being the
+    plain average.  ``cache`` carries the sampled triangles and their
     inconsistencies so reweighting never re-evaluates geometry.
     """
 
-    edges: list[tuple[int, int]]
-    values: dict[tuple[int, int], float]
-    unsupported: set[tuple[int, int]]
-    per_iteration: dict[int, dict[tuple[int, int], float]] | None = None
+    edge_array: np.ndarray
+    value: np.ndarray
+    per_iteration: np.ndarray | None = None
     cache: TripleCache | None = None
     diagnostics: IRDiagnostics | None = None
 
-    def value_array(self, g: ViewGraph) -> np.ndarray:
-        """Values aligned with ``g.edge_array`` rows; NaN where unsupported."""
-        out = np.full(g.num_edges, np.nan)
-        for edge, v in self.values.items():
-            out[g.edge_row(*edge)] = v
-        return out
+    # Tuple-keyed views, derived on access for callers that want them.
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        return edge_tuples(self.edge_array)
+
+    @property
+    def values(self) -> dict[tuple[int, int], float]:
+        """Supported edges and their values."""
+        keep = ~np.isnan(self.value)
+        return dict(zip(edge_tuples(self.edge_array[keep]), self.value[keep].tolist()))
+
+    @property
+    def unsupported(self) -> set[tuple[int, int]]:
+        return set(edge_tuples(self.edge_array[np.isnan(self.value)]))
 
 
 def _blocks(size: int):
@@ -129,12 +138,11 @@ def _degenerate(g: ViewGraph, rows_jk: np.ndarray, rows_ki: np.ndarray) -> np.nd
     return out
 
 
-def _build_cache(g: ViewGraph, cfg: AABConfig):
+def _build_cache(g: ViewGraph, cfg: AABConfig) -> TripleCache:
     """Sample triangles, redraw degenerate ones, evaluate inconsistencies.
 
     Sample ``slot`` of an edge uses draw index ``slot`` and, in redraw round
-    r, draw index ``s * r + slot``.  Returns the cache and the sorted rows of
-    edges left without a single triangle.
+    r, draw index ``s * r + slot``.
     """
     indptr, _ = g.common_neighbor_csr
     supported = np.flatnonzero(np.diff(indptr))
@@ -171,44 +179,21 @@ def _build_cache(g: ViewGraph, cfg: AABConfig):
             g.directions_of_rows(rows_ki[sl], k, i_arr[sl]),
         )
 
-    cache = TripleCache(
+    return TripleCache(
         edge_rows=edge_rows,
         neighbors=neighbors,
         rows_jk=rows_jk,
         rows_ki=rows_ki,
         inconsistencies=inc,
     )
-    # edges without common neighbours or whose every sample stayed degenerate
-    empty = np.bincount(edge_rows, minlength=g.num_edges) == 0
-    return cache, np.flatnonzero(empty).tolist()
 
 
 def _segment_mean(cache: TripleCache, num_edges: int) -> np.ndarray:
+    """Plain average per edge row; NaN on edges without common neighbours
+    or whose every sample stayed degenerate."""
     counts = np.bincount(cache.edge_rows, minlength=num_edges)
     sums = np.bincount(cache.edge_rows, weights=cache.inconsistencies, minlength=num_edges)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-
-
-def _to_statistics(
-    g: ViewGraph,
-    vals: np.ndarray,
-    unsupported_rows,
-    cache: TripleCache,
-    per_iteration=None,
-    diagnostics=None,
-) -> EdgeStatistics:
-    edges = g.edges()
-    unsupported = {edges[r] for r in unsupported_rows}
-    values = {edges[r]: float(vals[r]) for r in range(g.num_edges) if edges[r] not in unsupported}
-    return EdgeStatistics(
-        edges=edges,
-        values=values,
-        unsupported=unsupported,
-        per_iteration=per_iteration,
-        cache=cache,
-        diagnostics=diagnostics,
-    )
+    return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
 
 
 def naive_aab(g: ViewGraph, cfg: AABConfig) -> EdgeStatistics:
@@ -219,17 +204,11 @@ def naive_aab(g: ViewGraph, cfg: AABConfig) -> EdgeStatistics:
     indices of the edge a bounded number of times, then dropped from the
     average.
     """
-    cache, unsupported_rows = _build_cache(g, cfg)
-    vals = _segment_mean(cache, g.num_edges)
-    return _to_statistics(g, vals, unsupported_rows, cache)
+    cache = _build_cache(g, cfg)
+    return EdgeStatistics(g.edge_array, _segment_mean(cache, g.num_edges), cache=cache)
 
 
-def ir_aab(
-    g: ViewGraph,
-    cfg: AABConfig,
-    keep_per_iteration: bool = False,
-    keep_weight_sums: bool = False,
-) -> EdgeStatistics:
+def ir_aab(g: ViewGraph, cfg: AABConfig, keep_weight_sums: bool = False) -> EdgeStatistics:
     """Iteratively reweighted AAB statistic.
 
     Runs the naive stage once (same seed, same samples), then performs
@@ -242,27 +221,18 @@ def ir_aab(
     If every cached inconsistency is zero the naive (all-zero) statistic is
     returned unchanged, avoiding a division by zero in the rate.
     """
-    cache, unsupported_rows = _build_cache(g, cfg)
+    cache = _build_cache(g, cfg)
     m_edges = g.num_edges
     vals = _segment_mean(cache, m_edges)
-
-    per_iter = {0: {}} if keep_per_iteration else None
-    edges = g.edges()
-    unsupported_set = {edges[r] for r in unsupported_rows}
-    if keep_per_iteration:
-        per_iter[0] = {
-            edges[r]: float(vals[r]) for r in range(m_edges) if edges[r] not in unsupported_set
-        }
-
     if cache.inconsistencies.size == 0:
-        return _to_statistics(g, vals, unsupported_rows, cache, per_iteration=per_iter)
+        return EdgeStatistics(g.edge_array, vals, per_iteration=vals[None], cache=cache)
 
     big = float(cache.inconsistencies.max())
     small = float(cache.inconsistencies.min())
     if big == 0.0:
         diag = IRDiagnostics(initial_max=0.0, initial_min=0.0, step=0.0)
-        return _to_statistics(
-            g, vals, unsupported_rows, cache, per_iteration=per_iter, diagnostics=diag
+        return EdgeStatistics(
+            g.edge_array, vals, per_iteration=vals[None], cache=cache, diagnostics=diag
         )
 
     step = (big - small) / cfg.T
@@ -273,11 +243,12 @@ def ir_aab(
         weight_sums=[] if keep_weight_sums else None,
     )
 
-    supported_mask = np.ones(m_edges, dtype=bool)
-    supported_mask[list(unsupported_rows)] = False
+    supported_mask = ~np.isnan(vals)
+    per_iter = np.empty((cfg.T + 1, m_edges))
+    per_iter[0] = vals
 
     current = big
-    for _ in range(cfg.T):
+    for t in range(1, cfg.T + 1):
         tau = np.pi / current
         diag.taus.append(float(tau))
         current -= step
@@ -295,13 +266,8 @@ def ir_aab(
             cache.edge_rows, weights=wn * cache.inconsistencies, minlength=m_edges
         )
         vals = np.where(supported_mask, new_vals, np.nan)
+        per_iter[t] = vals
 
-        if keep_per_iteration:
-            t_idx = len(diag.taus)
-            per_iter[t_idx] = {
-                edges[r]: float(vals[r]) for r in range(m_edges) if supported_mask[r]
-            }
-
-    return _to_statistics(
-        g, vals, unsupported_rows, cache, per_iteration=per_iter, diagnostics=diag
+    return EdgeStatistics(
+        g.edge_array, vals, per_iteration=per_iter, cache=cache, diagnostics=diag
     )

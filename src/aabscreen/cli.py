@@ -106,26 +106,20 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_screen(args) -> int:
+    import numpy as np
+
     from .aabstats import AABConfig, ir_aab, naive_aab
-    from .fileio import _atomic_write, _fmt, parse_edge_list, write_statistics
+    from .fileio import parse_edge_list, write_per_iteration, write_statistics
 
     g = parse_edge_list(args.edges)
     cfg = AABConfig(s=args.s, T=args.T, seed=args.seed)
-    if args.stat == "naive":
-        stats = naive_aab(g, cfg)
-    else:
-        stats = ir_aab(g, cfg, keep_per_iteration=bool(args.per_iteration))
+    stats = (naive_aab if args.stat == "naive" else ir_aab)(g, cfg)
     meta = {"stat": args.stat, "s": args.s, "T": args.T, "seed": args.seed}
     write_statistics(g, stats, args.out, metadata=meta)
     if args.per_iteration:
-        lines = [f"# aab-stats-periter v1 n={g.n}"]
-        lines += [f"# {k}={v}" for k, v in meta.items()]
-        lines.append("t,i,j,value")
-        for t in sorted(stats.per_iteration or {}):
-            for (i, j), val in sorted(stats.per_iteration[t].items()):
-                lines.append(f"{t},{i},{j},{_fmt(val)}")
-        _atomic_write(args.per_iteration, lines)
-    print(f"screened {g.num_edges} edges ({len(stats.unsupported)} unsupported)")
+        write_per_iteration(g, stats, args.per_iteration, metadata=meta)
+    unsupported = int(np.isnan(stats.value).sum())
+    print(f"screened {g.num_edges} edges ({unsupported} unsupported)")
     return 0
 
 
@@ -198,21 +192,20 @@ def _cmd_evaluate(args) -> int:
         write_json_report,
         write_roc_csv,
     )
+    from .graph import match_edge_rows
     from .solvers import align_similarity
 
     g = parse_edge_list(args.edges)
     stats = parse_statistics(args.stats)
     labels = parse_labels(args.labels)
-    for edge in g.edges():
-        if edge not in stats.values and edge not in stats.unsupported:
-            raise ValueError(f"statistics file does not cover edge {edge}")
+    match_edge_rows(stats.edge_array, g.edge_array, "statistics file does not cover edge {}")
 
     os.makedirs(args.out_dir, exist_ok=True)
     meta = {"edges": args.edges, "stats": args.stats, "labels": args.labels}
 
     roc = roc_auc(stats, labels)
-    write_roc_csv(roc, os.path.join(args.out_dir, "roc.csv"), metadata=meta)
     hist = histogram(stats, labels, bins=args.bins)
+    write_roc_csv(roc, os.path.join(args.out_dir, "roc.csv"), metadata=meta)
     write_histogram_csv(hist, os.path.join(args.out_dir, "hist.csv"), metadata=meta)
 
     report = {"auc": roc.auc, "inputs": dict(meta)}

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aabstats import EdgeStatistics
-from .graph import ViewGraph
+from .graph import ViewGraph, match_edge_rows
 from .sphere import great_circle_distance_batch
 from .synthetic import GroundTruth
 
@@ -37,16 +37,18 @@ _ZERO_ANGLE_TOL = 1e-9
 
 @dataclass
 class EdgeLabels:
-    """Per-edge corruption angle and labels.
+    """Per-edge corruption angle and labels, aligned with the rows of
+    ``edge_array`` (sorted, unique vertex pairs).
 
     ``corrupted`` applies the evaluation rule angle > arcsin(sigma) (strict,
     with a 1e-9 numerical-zero floor); ``generator_corrupted`` carries the
     exact generation-time branch when known.
     """
 
-    angle: dict[tuple[int, int], float]
-    corrupted: dict[tuple[int, int], bool]
-    generator_corrupted: dict[tuple[int, int], bool] | None = None
+    edge_array: np.ndarray
+    angle: np.ndarray
+    corrupted: np.ndarray
+    generator_corrupted: np.ndarray | None = None
 
 
 @dataclass
@@ -88,31 +90,34 @@ class ExpectationGap:
 
 def label_edges(g: ViewGraph, gt: GroundTruth, sigma: float) -> EdgeLabels:
     """Corruption angles and threshold labels for every edge of ``g``."""
-    edges = g.edges()
-    clean = np.array([gt.clean_directions[e] for e in edges], dtype=np.float64)
-    angles = great_circle_distance_batch(g.direction_array, clean)
+    rows = match_edge_rows(gt.edge_array, g.edge_array, "ground truth does not cover edge {}")
+    angles = great_circle_distance_batch(g.direction_array, gt.clean_directions[rows])
     cut = max(float(np.arcsin(min(sigma, 1.0))), _ZERO_ANGLE_TOL)
     return EdgeLabels(
-        angle={e: float(a) for e, a in zip(edges, angles)},
-        corrupted={e: bool(a > cut) for e, a in zip(edges, angles)},
-        generator_corrupted={e: bool(gt.corrupted_flags[e]) for e in edges},
+        edge_array=g.edge_array,
+        angle=angles,
+        corrupted=angles > cut,
+        generator_corrupted=gt.corrupted_flags[rows],
     )
+
+
+def _supported_with_labels(stats: EdgeStatistics, labels: EdgeLabels):
+    """Values of the supported edges, in row order, and their rows in ``labels``."""
+    supported = ~np.isnan(stats.value)
+    rows = match_edge_rows(labels.edge_array, stats.edge_array[supported], "labels missing edge {}")
+    return stats.value[supported], rows
 
 
 def roc_auc(stats: EdgeStatistics, labels: EdgeLabels) -> RocCurve:
     """ROC over NUM_THRESHOLDS equidistant thresholds spanning the statistics.
 
-    Supported edges only; the statistic and label maps must cover the same
-    edges.  True/false positive rates count edges with statistic >= threshold
-    among corrupted/uncorrupted edges; the AUC is the trapezoidal integral of
-    the (FPR, TPR) points.
+    Supported edges only; the labels must cover every one of them.
+    True/false positive rates count edges with statistic >= threshold among
+    corrupted/uncorrupted edges; the AUC is the trapezoidal integral of the
+    (FPR, TPR) points.
     """
-    edges = sorted(stats.values)
-    try:
-        y = np.array([labels.corrupted[e] for e in edges], dtype=bool)
-    except KeyError as exc:
-        raise ValueError(f"labels missing edge {exc.args[0]}") from None
-    s = np.array([stats.values[e] for e in edges], dtype=np.float64)
+    s, rows = _supported_with_labels(stats, labels)
+    y = labels.corrupted[rows]
 
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
@@ -148,9 +153,10 @@ def histogram(stats: EdgeStatistics, labels: EdgeLabels, bins: int) -> Histogram
     """Equal-width per-class counts over the supported statistic range."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    edges = sorted(stats.values)
-    s = np.array([stats.values[e] for e in edges], dtype=np.float64)
-    y = np.array([labels.corrupted[e] for e in edges], dtype=bool)
+    s, rows = _supported_with_labels(stats, labels)
+    if s.size == 0:
+        raise ValueError("no edge has a supported statistic to histogram")
+    y = labels.corrupted[rows]
     lo, hi = float(s.min()), float(s.max())
     if hi == lo:
         hi = lo + 1.0
@@ -193,19 +199,13 @@ def expectation_gap(
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must be in [0, 1]")
     labels = label_edges(g, gt, sigma=0.0)
-    cut = np.pi * epsilon / 4.0
+    vals, rows = _supported_with_labels(stats, labels)
+    ang = labels.angle[rows]
+    flagged = labels.generator_corrupted[rows]
+    strong = vals[flagged & (np.minimum(ang, np.pi - ang) > np.pi * epsilon / 4.0)]
+    clean = vals[~flagged]
 
-    strong = []
-    clean = []
-    for e, val in stats.values.items():
-        ang = labels.angle[e]
-        if gt.corrupted_flags[e]:
-            if min(ang, np.pi - ang) > cut:
-                strong.append(val)
-        else:
-            clean.append(val)
-
-    min_c = float(min(strong)) if strong else None
-    max_g = float(max(clean)) if clean else None
-    separated = (min_c > max_g) if (strong and clean) else None
+    min_c = float(strong.min()) if strong.size else None
+    max_g = float(clean.max()) if clean.size else None
+    separated = (min_c > max_g) if (strong.size and clean.size) else None
     return ExpectationGap(min_corrupted=min_c, max_clean=max_g, separated=separated)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .aabstats import EdgeStatistics
 from .evaluation import EdgeLabels, HistogramCounts, RocCurve
-from .graph import ViewGraph
+from .graph import ViewGraph, match_edge_rows
 
 __all__ = [
     "FileFormatError",
@@ -28,6 +28,7 @@ __all__ = [
     "parse_locations",
     "write_statistics",
     "parse_statistics",
+    "write_per_iteration",
     "write_labels",
     "parse_labels",
     "write_roc_csv",
@@ -206,7 +207,53 @@ def parse_locations(path: str) -> tuple[dict[int, np.ndarray], int]:
     return locs, n
 
 
-# -- statistics --------------------------------------------------------------
+# -- statistics and labels ----------------------------------------------------
+
+
+def _parse_edge_table(path: str, header: str, columns: str, flag_skips_value: bool):
+    """Rows "i,j,value,flag" of a statistics or labels file, sorted by pair.
+
+    Checks the column count, the vertex range, uniqueness of the pair, the
+    0/1 flag and, unless the flag is set and ``flag_skips_value``, a finite
+    value.  Returns the (m, 2) pairs, the values (NaN where skipped) and the
+    flags.
+    """
+    rd = _Reader(path)
+    n = rd.check_header(header)
+    _, _, what, flag_name = columns.split(",")
+    ids, values, flags = [], [], []
+    seen = set()
+    for lineno, line in rd.data_lines():
+        if line == columns:
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            rd.fail(lineno, f"expected 4 columns, got {len(parts)}")
+        try:
+            i, j, flag = int(parts[0]), int(parts[1]), int(parts[3])
+        except ValueError:
+            rd.fail(lineno, "could not parse row")
+        if not (0 <= i < n and 0 <= j < n):
+            rd.fail(lineno, f"vertex pair ({i}, {j}) out of range for n={n}")
+        if (i, j) in seen:
+            rd.fail(lineno, f"duplicate edge {(i, j)}")
+        if flag not in (0, 1):
+            rd.fail(lineno, f"{flag_name} flag of edge {(i, j)} must be 0 or 1, got {flag}")
+        seen.add((i, j))
+        value = math.nan
+        if not (flag and flag_skips_value):
+            try:
+                value = float(parts[2])
+            except ValueError:
+                rd.fail(lineno, f"could not parse {what} value")
+            if not math.isfinite(value):
+                rd.fail(lineno, f"{what} of edge {(i, j)} is not finite")
+        ids.append((i, j))
+        values.append(value)
+        flags.append(flag)
+    ij = np.array(ids, dtype=np.int64).reshape(-1, 2)
+    order = np.lexsort((ij[:, 1], ij[:, 0]))
+    return ij[order], np.array(values, dtype=np.float64)[order], np.array(flags, dtype=bool)[order]
 
 
 def write_statistics(
@@ -216,53 +263,43 @@ def write_statistics(
     metadata: Mapping[str, object] | None = None,
 ) -> None:
     """One row per edge of ``g``: "i,j,statistic,unsupported"."""
+    rows = match_edge_rows(stats.edge_array, g.edge_array, "statistics do not cover edge {}")
     lines = [f"{_STAT_HEADER} n={g.n}"]
     lines += _metadata_lines(metadata)
     lines.append("i,j,statistic,unsupported")
-    for edge in g.edges():
-        i, j = edge
-        if edge in stats.unsupported:
-            lines.append(f"{i},{j},nan,1")
-        else:
-            lines.append(f"{i},{j},{_fmt(stats.values[edge])},0")
+    for (i, j), v in zip(g.edge_array.tolist(), stats.value[rows].tolist()):
+        lines.append(f"{i},{j},nan,1" if math.isnan(v) else f"{i},{j},{_fmt(v)},0")
+    _atomic_write(path, lines)
+
+
+def write_per_iteration(
+    g: ViewGraph,
+    stats: EdgeStatistics,
+    path: str,
+    metadata: Mapping[str, object] | None = None,
+) -> None:
+    """Rows "t,i,j,value" of every kept round, supported edges only.
+
+    Writes the header alone when ``stats`` kept no rounds.
+    """
+    lines = [f"# aab-stats-periter v1 n={g.n}"]
+    lines += _metadata_lines(metadata)
+    lines.append("t,i,j,value")
+    edges = stats.edge_array.tolist()
+    rounds = [] if stats.per_iteration is None else stats.per_iteration.tolist()
+    for t, vals in enumerate(rounds):
+        for (i, j), v in zip(edges, vals):
+            if not math.isnan(v):
+                lines.append(f"{t},{i},{j},{_fmt(v)}")
     _atomic_write(path, lines)
 
 
 def parse_statistics(path: str) -> EdgeStatistics:
-    rd = _Reader(path)
-    rd.check_header(_STAT_HEADER)
-    values: dict[tuple[int, int], float] = {}
-    unsupported: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
-    for lineno, line in rd.data_lines():
-        if line == "i,j,statistic,unsupported":
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            rd.fail(lineno, f"expected 4 columns, got {len(parts)}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-            flag = int(parts[3])
-        except ValueError:
-            rd.fail(lineno, "could not parse row")
-        edge = (i, j)
-        if edge in values or edge in unsupported:
-            rd.fail(lineno, f"duplicate edge {edge}")
-        edges.append(edge)
-        if flag:
-            unsupported.add(edge)
-        else:
-            try:
-                value = float(parts[2])
-            except ValueError:
-                rd.fail(lineno, "could not parse statistic value")
-            if not math.isfinite(value):
-                rd.fail(lineno, f"statistic of supported edge {edge} is not finite")
-            values[edge] = value
-    return EdgeStatistics(edges=edges, values=values, unsupported=unsupported)
-
-
-# -- labels ------------------------------------------------------------------
+    """Read a statistics file; rows come back in canonical edge order."""
+    edge_array, value, _ = _parse_edge_table(
+        path, _STAT_HEADER, "i,j,statistic,unsupported", flag_skips_value=True
+    )
+    return EdgeStatistics(edge_array=edge_array, value=value)
 
 
 def write_labels(
@@ -271,33 +308,23 @@ def write_labels(
     path: str,
     metadata: Mapping[str, object] | None = None,
 ) -> None:
+    rows = match_edge_rows(labels.edge_array, g.edge_array, "labels do not cover edge {}")
     lines = [f"{_LABEL_HEADER} n={g.n}"]
     lines += _metadata_lines(metadata)
     lines.append("i,j,angle,corrupted")
-    for edge in g.edges():
-        i, j = edge
-        lines.append(f"{i},{j},{_fmt(labels.angle[edge])},{int(labels.corrupted[edge])}")
+    angle = labels.angle[rows].tolist()
+    corrupted = labels.corrupted[rows].tolist()
+    for (i, j), a, c in zip(g.edge_array.tolist(), angle, corrupted):
+        lines.append(f"{i},{j},{_fmt(a)},{int(c)}")
     _atomic_write(path, lines)
 
 
 def parse_labels(path: str) -> EdgeLabels:
-    rd = _Reader(path)
-    rd.check_header(_LABEL_HEADER)
-    angle: dict[tuple[int, int], float] = {}
-    corrupted: dict[tuple[int, int], bool] = {}
-    for lineno, line in rd.data_lines():
-        if line == "i,j,angle,corrupted":
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            rd.fail(lineno, f"expected 4 columns, got {len(parts)}")
-        try:
-            edge = (int(parts[0]), int(parts[1]))
-            angle[edge] = float(parts[2])
-            corrupted[edge] = bool(int(parts[3]))
-        except ValueError:
-            rd.fail(lineno, "could not parse row")
-    return EdgeLabels(angle=angle, corrupted=corrupted, generator_corrupted=None)
+    """Read a labels file; rows come back in canonical edge order."""
+    edge_array, angle, corrupted = _parse_edge_table(
+        path, _LABEL_HEADER, "i,j,angle,corrupted", flag_skips_value=False
+    )
+    return EdgeLabels(edge_array=edge_array, angle=angle, corrupted=corrupted)
 
 
 # -- evaluation outputs (write-only) ------------------------------------------

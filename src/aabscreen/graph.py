@@ -14,7 +14,7 @@ import numpy as np
 
 from .sphere import UNIT_NORM_TOL
 
-__all__ = ["ViewGraph"]
+__all__ = ["ViewGraph", "edge_tuples", "match_edge_rows"]
 
 # Directions off unit norm by more than this (and at most UNIT_NORM_TOL) are
 # renormalized on construction.
@@ -62,6 +62,32 @@ def _first_invalid(n: int, i, j, d, norms, not_vec) -> str | None:
         f"deviating from 1 by more than {UNIT_NORM_TOL}",
     ]
     return next(msg for check, msg in zip(checks, messages) if check[e])
+
+
+def edge_tuples(edge_array: np.ndarray) -> list[tuple[int, int]]:
+    """Rows of an (m, 2) vertex-pair array as tuples of ints."""
+    return list(zip(edge_array[:, 0].tolist(), edge_array[:, 1].tolist()))
+
+
+def match_edge_rows(have: np.ndarray, want: np.ndarray, missing: str) -> np.ndarray:
+    """Row in ``have`` of each row of ``want``.
+
+    Both are (m, 2) arrays of vertex pairs with nonnegative ids; the rows of
+    ``have`` must be sorted and unique, as canonical edge arrays are.  A
+    ``want`` row absent from ``have`` raises ``ValueError(missing.format(edge))``
+    for the first such row.
+    """
+    base = max(int(have.max(initial=0)), int(want.max(initial=0))) + 1
+    # the -1 sentinel past the end matches no key, so a search that lands
+    # there counts as missing
+    keys = np.append(have[:, 0] * base + have[:, 1], -1)
+    wanted = want[:, 0] * base + want[:, 1]
+    rows = np.searchsorted(keys[:-1], wanted)
+    missing_rows = keys[rows] != wanted
+    if missing_rows.any():
+        a, b = want[np.argmax(missing_rows)]
+        raise ValueError(missing.format((int(a), int(b))))
+    return rows
 
 
 class ViewGraph:
@@ -156,7 +182,7 @@ class ViewGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Canonical edge list as tuples."""
-        return list(zip(self._edges[:, 0].tolist(), self._edges[:, 1].tolist()))
+        return edge_tuples(self._edges)
 
     def subgraph(self, row_mask) -> "ViewGraph":
         """Graph on the same vertices keeping the edge rows where ``row_mask`` is set."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aabstats import EdgeStatistics
-from .graph import ViewGraph
+from .graph import ViewGraph, match_edge_rows
 
 __all__ = ["ScreeningPolicy", "filter_edges", "solvable_component"]
 
@@ -55,15 +55,9 @@ def filter_edges(g: ViewGraph, stats: EdgeStatistics, policy: ScreeningPolicy) -
     (i, j) kept first.  Unsupported edges survive unless the policy drops
     them.  An empty survivor set is an error.
     """
-    vals = np.full(g.num_edges, np.nan)
-    unsupported = np.zeros(g.num_edges, dtype=bool)
-    for row, edge in enumerate(g.edges()):
-        if edge in stats.values:
-            vals[row] = stats.values[edge]
-        elif edge in stats.unsupported:
-            unsupported[row] = True
-        else:
-            raise ValueError(f"statistics do not cover edge {edge}")
+    rows = match_edge_rows(stats.edge_array, g.edge_array, "statistics do not cover edge {}")
+    vals = stats.value[rows]
+    unsupported = np.isnan(vals)
     supported = np.flatnonzero(~unsupported)
 
     kept = np.zeros(g.num_edges, dtype=bool)

@@ -78,13 +78,14 @@ class DegenerateInstanceError(RuntimeError):
 class LocationEstimate:
     """Gauge-fixed location estimate over the solved vertex set.
 
-    ``residuals`` maps each edge to the projection residual of the final
-    iterate.  ``objective_trace`` (robust solver only) records the smoothed
-    unsquared objective after every iteration.
+    ``residuals`` holds the projection residual of the final iterate for
+    each row of the solved graph's ``edge_array``.  ``objective_trace``
+    (robust solver only) records the smoothed unsquared objective after
+    every iteration.
     """
 
     locations: dict[int, np.ndarray]
-    residuals: dict[tuple[int, int], float]
+    residuals: np.ndarray
     converged: bool
     iterations: int
     objective_trace: list[float] | None = None
@@ -255,13 +256,10 @@ def _solve_weighted(g: ViewGraph, weights: np.ndarray | None) -> tuple[np.ndarra
     return verts, t, _edge_residuals(g, pos, t)
 
 
-def _to_estimate(g: ViewGraph, verts, t, res, converged: bool, iterations: int) -> LocationEstimate:
+def _to_estimate(verts, t, res, converged: bool, iterations: int) -> LocationEstimate:
     locations = {int(v): t[k].copy() for k, v in enumerate(verts)}
-    residuals = {
-        (int(i), int(j)): float(r) for (i, j), r in zip(g.edge_array, res)
-    }
     return LocationEstimate(
-        locations=locations, residuals=residuals, converged=converged, iterations=iterations
+        locations=locations, residuals=res, converged=converged, iterations=iterations
     )
 
 
@@ -274,7 +272,7 @@ def solve_ls_spectral(g: ViewGraph) -> LocationEstimate:
     for collinear locations or non-rigid graphs.
     """
     verts, t, res = _solve_weighted(g, None)
-    return _to_estimate(g, verts, t, res, converged=True, iterations=1)
+    return _to_estimate(verts, t, res, converged=True, iterations=1)
 
 
 def _gauge_fixed(t: np.ndarray) -> np.ndarray:
@@ -370,7 +368,7 @@ def solve_irls_lud(g: ViewGraph, max_iters: int = 100, delta: float = 1e-8) -> L
 
     t = _gauge_fixed(t)
     res = _edge_residuals(g, pos, t)
-    est = _to_estimate(g, verts, t, res, converged=converged, iterations=iterations)
+    est = _to_estimate(verts, t, res, converged=converged, iterations=iterations)
     est.objective_trace = trace
     return est
 

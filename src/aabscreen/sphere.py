@@ -67,20 +67,17 @@ def as_unit_vector(v) -> UnitVector3:
 
 
 def great_circle_distance(u: UnitVector3, v: UnitVector3) -> Radians:
-    """Angle between two unit vectors, in [0, pi].
+    """Angle between two unit vectors, in [0, pi]: one row of
+    ``great_circle_distance_batch`` after validating both inputs."""
+    return float(great_circle_distance_batch(as_unit_vector(u), as_unit_vector(v)))
+
+
+def great_circle_distance_batch(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Row-wise angles between two (..., 3) arrays of unit vectors.
 
     Uses the chord-based arcsine form, which stays accurate near 0 and pi
     where arccos of a clamped dot product loses half the significant digits.
     """
-    u = as_unit_vector(u)
-    v = as_unit_vector(v)
-    if np.dot(u, v) >= 0.0:
-        return float(2.0 * np.arcsin(min(1.0, np.linalg.norm(u - v) / 2.0)))
-    return float(np.pi - 2.0 * np.arcsin(min(1.0, np.linalg.norm(u + v) / 2.0)))
-
-
-def great_circle_distance_batch(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Row-wise angles between two (n, 3) arrays of unit vectors."""
     dots = np.einsum("...i,...i->...", U, V)
     near = 2.0 * np.arcsin(np.minimum(1.0, np.linalg.norm(U - V, axis=-1) / 2.0))
     far = np.pi - 2.0 * np.arcsin(np.minimum(1.0, np.linalg.norm(U + V, axis=-1) / 2.0))
@@ -115,50 +112,37 @@ def degenerate_base_mask(G1: np.ndarray, G2: np.ndarray) -> np.ndarray:
 
 
 def aab_inconsistency(g3: UnitVector3, g1: UnitVector3, g2: UnitVector3) -> Radians:
-    """Great-circle distance from ``g3`` to the consistency arc of (g1, g2).
-
-    With x = g1.g3, y = g2.g3, z = g1.g2, the orthogonal projection of g3
-    onto span{g1, g2} points into the arc iff x < y*z and y < x*z.  In that
-    case the distance is the angle between g3 and its normalized projection,
-    of cosine sqrt((x^2 + y^2 - 2xyz) / (1 - z^2)); otherwise it is the
-    distance to the nearer arc endpoint, -g1 or -g2.
-
-    The projection-branch angle is evaluated as atan2 of the perpendicular
-    and in-plane component norms, which keeps exactly consistent triples at
-    ~1e-15 instead of the ~1e-8 floor of arccos near 1.
+    """Great-circle distance from ``g3`` to the consistency arc of (g1, g2):
+    one row of ``aab_inconsistency_batch`` after validating the inputs.
 
     Raises:
         DegenerateBaseError: if g1 and g2 are parallel or antiparallel
-            (z^2 > 1 - DEGENERATE_BASE_TOL).
+            (z^2 > 1 - DEGENERATE_BASE_TOL with z = g1.g2).
     """
     g3 = as_unit_vector(g3)
     g1 = as_unit_vector(g1)
     g2 = as_unit_vector(g2)
-    x = float(np.dot(g1, g3))
-    y = float(np.dot(g2, g3))
     z = float(np.dot(g1, g2))
     if z * z > 1.0 - DEGENERATE_BASE_TOL:
         raise DegenerateBaseError(f"base pair nearly (anti)parallel: g1.g2 = {z!r}")
-    if x < y * z and y < x * z:
-        denom = 1.0 - z * z
-        lam1 = (x - y * z) / denom
-        lam2 = (y - x * z) / denom
-        gp = lam1 * g1 + lam2 * g2
-        perp = g3 - gp
-        return float(np.arctan2(np.linalg.norm(perp), np.linalg.norm(gp)))
-    return min(great_circle_distance(g3, -g1), great_circle_distance(g3, -g2))
+    return float(aab_inconsistency_batch(g3[None], g1[None], g2[None])[0])
 
 
 def aab_inconsistency_batch(G3: np.ndarray, G1: np.ndarray, G2: np.ndarray) -> np.ndarray:
     """Row-wise AAB inconsistencies for (n, 3) arrays of unit vectors.
 
-    Each branch of ``aab_inconsistency`` is evaluated only on its own rows:
-    the projection angle where the projection points into the arc, and
-    elsewhere the distance to the nearer endpoint, -g1 when x <= y and -g2
-    otherwise, through the one arcsine form the sign of its dot product
-    selects.  On an exact tie x == y the two endpoint distances agree only
-    up to rounding, and the value may differ from the smaller of the two in
-    the last bits.
+    With x = g1.g3, y = g2.g3, z = g1.g2, the orthogonal projection of g3
+    onto span{g1, g2} points into the arc iff x < y*z and y < x*z.  On those
+    rows the distance is the angle between g3 and its normalized projection,
+    of cosine sqrt((x^2 + y^2 - 2xyz) / (1 - z^2)), evaluated as atan2 of the
+    perpendicular and in-plane component norms; that keeps exactly
+    consistent triples at ~1e-15 instead of the ~1e-8 floor of arccos near 1.
+
+    Elsewhere it is the distance to the nearer arc endpoint, -g1 when x <= y
+    and -g2 otherwise, through the one arcsine form the sign of its dot
+    product selects.  On an exact tie x == y the two endpoint distances
+    agree only up to rounding, and the value may differ from the smaller of
+    the two in the last bits.
 
     No degeneracy check: callers must mask degenerate bases themselves
     (see ``degenerate_base_mask``); degenerate rows yield garbage.

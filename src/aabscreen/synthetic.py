@@ -14,7 +14,7 @@ p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,14 +58,17 @@ class UCParams:
 class GroundTruth:
     """True locations, clean directions, and corruption provenance.
 
-    ``corrupted_flags[edge]`` records which generator branch produced the
+    ``clean_directions`` (m, 3) and ``corrupted_flags`` (m,) are aligned with
+    the rows of ``edge_array``, the generated graph's canonical edges.
+    ``corrupted_flags`` records which generator branch produced each
     measurement (exact, independent of any angle-based labeling rule applied
     at evaluation time).
     """
 
     locations: dict[int, np.ndarray]
-    clean_directions: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
-    corrupted_flags: dict[tuple[int, int], bool] = field(default_factory=dict)
+    edge_array: np.ndarray
+    clean_directions: np.ndarray
+    corrupted_flags: np.ndarray
 
 
 def _draw_locations(params: UCParams) -> np.ndarray:
@@ -123,10 +126,12 @@ def generate_uc(params: UCParams) -> tuple[ViewGraph, GroundTruth]:
     noisy = clean if params.sigma == 0.0 else _unit_rows(clean + params.sigma * sphere)
     gamma = np.where(corrupted[:, None], sphere, noisy)
 
-    edges = list(zip(i.tolist(), j.tolist()))
+    # the pairs are in canonical order already, so the graph keeps their rows
+    g = ViewGraph.from_arrays(params.n, i, j, gamma)
     gt = GroundTruth(
         locations={v: t[v].copy() for v in range(params.n)},
-        clean_directions=dict(zip(edges, clean)),
-        corrupted_flags=dict(zip(edges, corrupted.tolist())),
+        edge_array=g.edge_array,
+        clean_directions=clean,
+        corrupted_flags=corrupted,
     )
-    return ViewGraph.from_arrays(params.n, i, j, gamma), gt
+    return g, gt

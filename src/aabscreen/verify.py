@@ -98,9 +98,9 @@ def _mc_mean(draw, samples: int, seed: int) -> McEstimate:
     )
 
 
-def _nondegenerate_uniform(rng: np.random.Generator, size: int, fixed: np.ndarray) -> np.ndarray:
-    """Uniform sphere draws whose pairing with ``fixed`` is non-degenerate."""
-    v = sample_uniform_sphere_batch(rng, size)
+def _redraw_degenerate(rng: np.random.Generator, fixed: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Redraw, in place and from ``rng``, the uniform rows of ``v`` that form
+    a degenerate base with ``fixed`` (broadcast against ``v``) until none does."""
     bad = degenerate_base_mask(np.broadcast_to(fixed, v.shape), v)
     while bad.any():
         v[bad] = sample_uniform_sphere_batch(rng, int(bad.sum()))
@@ -123,7 +123,7 @@ def mc_estimate_f(x: float, samples: int, seed: int) -> McEstimate:
     v2 = np.array([np.cos(x), np.sin(x), 0.0])
 
     def draw(rng, size):
-        v = _nondegenerate_uniform(rng, size, v1)
+        v = _redraw_degenerate(rng, v1, sample_uniform_sphere_batch(rng, size))
         g3 = np.broadcast_to(v2, v.shape)
         g1 = np.broadcast_to(v1, v.shape)
         return aab_inconsistency_batch(g3, g1, v)
@@ -140,10 +140,7 @@ def mc_estimate_Z(samples: int, seed: int) -> McEstimate:
         g1 = sample_uniform_sphere_batch(rng, size)
         g2 = sample_uniform_sphere_batch(rng, size)
         g3 = sample_uniform_sphere_batch(rng, size)
-        bad = degenerate_base_mask(g1, g2)
-        while bad.any():
-            g2[bad] = sample_uniform_sphere_batch(rng, int(bad.sum()))
-            bad = degenerate_base_mask(g1, g2)
+        _redraw_degenerate(rng, g1, g2)
         return aab_inconsistency_batch(g3, g1, g2)
 
     return _mc_mean(draw, samples, seed)
@@ -188,10 +185,7 @@ def formula_vs_oracle(samples: int, oracle_steps: int, seed: int) -> FormulaComp
         g1 = sample_uniform_sphere_batch(rng, size)
         g2 = sample_uniform_sphere_batch(rng, size)
         g3 = sample_uniform_sphere_batch(rng, size)
-        bad = degenerate_base_mask(g1, g2)
-        while bad.any():
-            g2[bad] = sample_uniform_sphere_batch(rng, int(bad.sum()))
-            bad = degenerate_base_mask(g1, g2)
+        _redraw_degenerate(rng, g1, g2)
         oracle = aab_oracle_batch(g3, g1, g2, oracle_steps)
         dev_corrected = max(
             dev_corrected,

@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from aabscreen.aabstats import EdgeStatistics
+from aabscreen.evaluation import EdgeLabels
 from aabscreen.graph import ViewGraph
 from aabscreen.sphere import aab_oracle_batch, great_circle_distance_batch
 
@@ -37,6 +39,30 @@ def complete_graph_from_locations(t: np.ndarray) -> ViewGraph:
             d = t[i] - t[j]
             edges.append((i, j, d / np.linalg.norm(d)))
     return ViewGraph(n, edges)
+
+
+def edge_array_of(edges) -> np.ndarray:
+    """Sorted (m, 2) array of the given vertex pairs."""
+    return np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+
+
+def stats_of(values, unsupported=()) -> EdgeStatistics:
+    """Statistics from a map of supported values and a set of unsupported edges."""
+    table = {**dict(values), **{e: math.nan for e in unsupported}}
+    return EdgeStatistics(
+        edge_array=edge_array_of(table),
+        value=np.array([table[e] for e in sorted(table)], dtype=np.float64),
+    )
+
+
+def labels_of(corrupted) -> EdgeLabels:
+    """Labels from a map of edge to corruption flag."""
+    flags = np.array([corrupted[e] for e in sorted(corrupted)], dtype=bool)
+    return EdgeLabels(
+        edge_array=edge_array_of(corrupted),
+        angle=np.where(flags, 1.0, 0.0),
+        corrupted=flags,
+    )
 
 
 def uniform_base_mean(

@@ -133,6 +133,6 @@ def dense_irls_lud(g: ViewGraph, max_iters: int = 100, delta: float = 1e-8):
             break
 
     t = _gauge_fixed(t)
-    est = _to_estimate(g, verts, t, _edge_residuals(g, pos, t), converged, iterations)
+    est = _to_estimate(verts, t, _edge_residuals(g, pos, t), converged, iterations)
     est.objective_trace = trace
     return est

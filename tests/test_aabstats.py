@@ -96,8 +96,8 @@ class TestNaive:
     def test_exact_triangle_is_zero(self, rng):
         g = complete_graph_from_locations(rng.normal(size=(3, 3)))
         stats = naive_aab(g, AABConfig(s=10, seed=1))
-        assert not stats.unsupported
-        assert max(stats.values.values()) <= 1e-9
+        assert not np.isnan(stats.value).any()
+        assert stats.value.max() <= 1e-9
 
     def test_corrupted_edge_ranks_highest(self, rng):
         # K4 from exact locations with direction (0,1) replaced by an
@@ -112,19 +112,19 @@ class TestNaive:
         edges[(0, 1)] = perp / np.linalg.norm(perp)
         g = ViewGraph(4, [(i, j, v) for (i, j), v in edges.items()])
         stats = naive_aab(g, AABConfig(s=50, seed=17))
-        bad = stats.values[(0, 1)]
-        assert all(bad > v for e, v in stats.values.items() if e != (0, 1))
+        row = g.edge_row(0, 1)
+        assert np.all(stats.value[row] > np.delete(stats.value, row))
 
     def test_path_graph_all_unsupported(self):
         g = ViewGraph(4, [(0, 1, EZ), (1, 2, EZ), (2, 3, EZ)])
         stats = naive_aab(g, AABConfig(s=5, seed=0))
-        assert stats.unsupported == set(g.edges())
-        assert stats.values == {}
+        assert np.array_equal(stats.edge_array, g.edge_array)
+        assert np.isnan(stats.value).all()
 
     def test_values_in_range(self):
         g, _ = generate_uc(UCParams(n=40, p=0.5, q=0.4, sigma=0.1, seed=6))
         stats = naive_aab(g, AABConfig(s=20, seed=7))
-        vals = np.array(list(stats.values.values()))
+        vals = stats.value[~np.isnan(stats.value)]
         assert np.all((vals >= 0) & (vals <= math.pi))
 
     def test_cost_scaling(self):
@@ -132,7 +132,7 @@ class TestNaive:
         g, _ = generate_uc(UCParams(n=30, p=0.6, q=0.3, sigma=0.0, seed=9))
         cfg = AABConfig(s=13, seed=2)
         stats = naive_aab(g, cfg)
-        supported = g.num_edges - len(stats.unsupported)
+        supported = int((~np.isnan(stats.value)).sum())
         assert stats.cache.inconsistencies.size == cfg.s * supported
 
     def test_deterministic(self):
@@ -140,8 +140,16 @@ class TestNaive:
         cfg = AABConfig(s=15, seed=11)
         a = naive_aab(g, cfg)
         b = naive_aab(g, cfg)
-        assert a.values == b.values
-        assert a.unsupported == b.unsupported
+        assert np.array_equal(a.value, b.value, equal_nan=True)
+
+    def test_tuple_views_follow_the_value_array(self):
+        g = exact_zero_triangle_plus_noise()
+        stats = naive_aab(g, AABConfig(s=6, seed=1))
+        assert stats.edges == g.edges()
+        assert stats.unsupported == {(0, 2)}
+        supported = ~np.isnan(stats.value)
+        assert list(stats.values) == [e for e, ok in zip(g.edges(), supported) if ok]
+        assert list(stats.values.values()) == stats.value[supported].tolist()
 
 
 class TestTrianglePicks:
@@ -156,14 +164,14 @@ class TestTrianglePicks:
         )
         stats = naive_aab(g, AABConfig(s=50, seed=42))
         picks = picks_of(stats, g, (0, 1))
-        assert (0, 1) not in stats.unsupported
+        assert not np.isnan(stats.value[g.edge_row(0, 1)])
         assert picks.shape == (50,)
         assert np.all(picks == 2)
 
     def test_no_triangles_flagged(self):
         g = ViewGraph(3, [(0, 1, EZ), (1, 2, EZ)])
         stats = naive_aab(g, AABConfig(s=50, seed=42))
-        assert (0, 1) in stats.unsupported
+        assert np.isnan(stats.value[g.edge_row(0, 1)])
         assert picks_of(stats, g, (0, 1)).size == 0
 
     def test_deterministic_in_either_orientation(self, rng):
@@ -268,7 +276,7 @@ class TestIrAab:
     def test_exact_graph_stays_zero(self):
         g, _ = generate_uc(UCParams(n=30, p=0.6, q=0.0, sigma=0.0, seed=1))
         stats = ir_aab(g, AABConfig(s=10, seed=2))
-        assert max(stats.values.values()) <= 1e-12
+        assert stats.value.max() <= 1e-12
 
     def test_all_zero_guard_returns_naive(self):
         # the retained triangles of this graph evaluate to exactly 0.0, so
@@ -282,47 +290,50 @@ class TestIrAab:
         cfg = AABConfig(s=8, seed=3)
         naive = naive_aab(g, cfg)
         ir = ir_aab(g, cfg)
-        assert naive.values == {(0, 1): 0.0, (1, 2): 0.0}
-        assert ir.values == naive.values
-        assert ir.unsupported == {(0, 2)}
+        # rows (0, 1), (0, 2), (1, 2); (0, 2) is left without a triangle
+        assert np.array_equal(naive.value, [0.0, np.nan, 0.0], equal_nan=True)
+        assert np.array_equal(ir.value, naive.value, equal_nan=True)
+        assert np.array_equal(ir.per_iteration, naive.value[None], equal_nan=True)
 
     def test_uniform_inconsistencies_preserved(self):
         # all cached inconsistencies equal: weights are uniform, so every
         # round reproduces the plain average
         g = exact_zero_triangle_plus_noise()
         cfg = AABConfig(s=6, seed=1)
-        ir = ir_aab(g, cfg, keep_per_iteration=True)
+        ir = ir_aab(g, cfg)
         for e in ((0, 3), (1, 3)):
             # single-triangle edges have constant caches; value never moves
-            assert ir.values[e] == pytest.approx(ir.per_iteration[0][e], abs=1e-15)
+            row = g.edge_row(*e)
+            assert ir.value[row] == pytest.approx(ir.per_iteration[0, row], abs=1e-15)
 
     def test_iteration_zero_is_naive(self):
         g, _ = generate_uc(UCParams(n=30, p=0.5, q=0.3, sigma=0.05, seed=12))
         cfg = AABConfig(s=10, T=4, seed=13)
         naive = naive_aab(g, cfg)
-        ir = ir_aab(g, cfg, keep_per_iteration=True)
-        assert ir.per_iteration[0] == naive.values
-        assert set(ir.per_iteration) == {0, 1, 2, 3, 4}
+        ir = ir_aab(g, cfg)
+        assert ir.per_iteration.shape == (5, g.num_edges)
+        assert np.array_equal(ir.per_iteration[0], naive.value, equal_nan=True)
+        assert np.array_equal(ir.per_iteration[-1], ir.value, equal_nan=True)
 
     def test_weight_sums_normalized(self):
         g, _ = generate_uc(UCParams(n=25, p=0.6, q=0.4, sigma=0.0, seed=14))
         ir = ir_aab(g, AABConfig(s=10, T=5, seed=15), keep_weight_sums=True)
-        supported_rows = [r for r, e in enumerate(g.edges()) if e not in ir.unsupported]
+        supported_rows = ~np.isnan(ir.value)
         for sums in ir.diagnostics.weight_sums:
             assert np.abs(sums[supported_rows] - 1.0).max() <= 1e-12
 
     def test_values_within_cached_range(self):
         g, _ = generate_uc(UCParams(n=25, p=0.6, q=0.4, sigma=0.05, seed=16))
-        ir = ir_aab(g, AABConfig(s=10, T=10, seed=17), keep_per_iteration=True)
+        ir = ir_aab(g, AABConfig(s=10, T=10, seed=17))
         cache = ir.cache
-        for row, edge in enumerate(g.edges()):
+        for row in range(g.num_edges):
             mask = cache.edge_rows == row
             if not mask.any():
+                assert np.isnan(ir.per_iteration[:, row]).all()
                 continue
             lo = cache.inconsistencies[mask].min() - 1e-12
             hi = cache.inconsistencies[mask].max() + 1e-12
-            for t, snapshot in ir.per_iteration.items():
-                assert lo <= snapshot[edge] <= hi
+            assert np.all((lo <= ir.per_iteration[:, row]) & (ir.per_iteration[:, row] <= hi))
 
     def test_rate_strictly_increases(self):
         g, _ = generate_uc(UCParams(n=30, p=0.5, q=0.4, sigma=0.0, seed=18))
@@ -341,10 +352,10 @@ class TestIrAab:
         # neighbor edge of (0,1); the reweighting must still run
         g = exact_zero_triangle_plus_noise()
         ir = ir_aab(g, AABConfig(s=10, seed=0), keep_weight_sums=True)
-        assert (0, 2) in ir.unsupported
+        assert np.isnan(ir.value[g.edge_row(0, 2)])
         assert len(ir.diagnostics.taus) == 10
         # the clean triangle dominates once the noisy one is down-weighted
-        assert ir.values[(0, 1)] <= 1e-3
+        assert ir.value[g.edge_row(0, 1)] <= 1e-3
 
     def test_reweighting_recovers_clean_edge(self):
         # a clean edge polluted by one corrupted triangle drops to zero once
@@ -353,12 +364,13 @@ class TestIrAab:
         cfg = AABConfig(s=10, seed=0)
         naive = naive_aab(g, cfg)
         ir = ir_aab(g, cfg)
-        assert naive.values[(0, 1)] > 0.1
-        assert ir.values[(0, 1)] <= 1e-3
+        assert naive.value[g.edge_row(0, 1)] > 0.1
+        assert ir.value[g.edge_row(0, 1)] <= 1e-3
 
     def test_deterministic(self):
         g, _ = generate_uc(UCParams(n=30, p=0.5, q=0.3, sigma=0.05, seed=20))
         cfg = AABConfig(seed=21)
         a = ir_aab(g, cfg)
         b = ir_aab(g, cfg)
-        assert a.values == b.values
+        assert np.array_equal(a.value, b.value, equal_nan=True)
+        assert np.array_equal(a.per_iteration, b.per_iteration, equal_nan=True)

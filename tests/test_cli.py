@@ -97,6 +97,48 @@ class TestSubcommands:
             payload = json.loads(out.read_text())
             assert payload["mode"] == mode
 
+    def test_evaluate_rejects_stats_missing_an_edge(self, generated, tmp_path, capsys):
+        stats = tmp_path / "stats.csv"
+        assert run(
+            "screen", "--edges", generated["edges"], "--stat", "naive",
+            "--seed", 1, "--out", stats,
+        ) == 0
+        lines = stats.read_text().splitlines()
+        header = [k for k, line in enumerate(lines) if line == "i,j,statistic,unsupported"][0]
+        dropped = lines.pop(header + 5)
+        stats.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run(
+            "evaluate", "--edges", generated["edges"], "--stats", stats,
+            "--labels", generated["labels"], "--out-dir", tmp_path / "eval",
+        )
+        err = capsys.readouterr().err
+        i, j = dropped.split(",")[:2]
+        assert code == 1
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and f"does not cover edge ({i}, {j})" in err
+
+    def test_evaluate_all_unsupported_is_clean_error(self, generated, tmp_path, capsys):
+        stats = tmp_path / "stats.csv"
+        assert run(
+            "screen", "--edges", generated["edges"], "--stat", "naive",
+            "--seed", 1, "--out", stats,
+        ) == 0
+        lines = stats.read_text().splitlines()
+        rows = lines.index("i,j,statistic,unsupported") + 1
+        lines[rows:] = [",".join(line.split(",")[:2] + ["nan", "1"]) for line in lines[rows:]]
+        stats.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run(
+            "evaluate", "--edges", generated["edges"], "--stats", stats,
+            "--labels", generated["labels"], "--out-dir", tmp_path / "eval",
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "no edge has a supported statistic" in err
+        assert not (tmp_path / "eval" / "roc.csv").exists()
+
     def test_per_iteration_dump(self, generated, tmp_path):
         out = tmp_path / "stats.csv"
         periter = tmp_path / "periter.csv"
@@ -107,6 +149,14 @@ class TestSubcommands:
         lines = periter.read_text().splitlines()
         assert lines[0].startswith("# aab-stats-periter v1")
         assert "t,i,j,value" in lines
+        rows = [line.split(",") for line in lines[lines.index("t,i,j,value") + 1 :]]
+        # rounds 0..T of the default T = 10, the last one the written statistic
+        assert sorted({int(r[0]) for r in rows}) == list(range(11))
+        final = {(r[1], r[2]): r[3] for r in rows if r[0] == "10"}
+        written = out.read_text().splitlines()
+        first = written.index("i,j,statistic,unsupported") + 1
+        stats_rows = [line.split(",") for line in written[first:]]
+        assert final == {(r[0], r[1]): r[2] for r in stats_rows if r[3] == "0"}
 
 
 class TestFullPipeline:

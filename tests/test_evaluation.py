@@ -9,7 +9,6 @@ import pytest
 
 from aabscreen.aabstats import EdgeStatistics
 from aabscreen.evaluation import (
-    EdgeLabels,
     expectation_gap,
     histogram,
     improvement,
@@ -20,30 +19,16 @@ from aabscreen.evaluation import (
 from aabscreen.graph import ViewGraph
 from aabscreen.synthetic import GroundTruth, UCParams, generate_uc
 
-from conftest import unit
-
-
-def stats_of(values, unsupported=()):
-    return EdgeStatistics(
-        edges=sorted(set(values) | set(unsupported)),
-        values=dict(values),
-        unsupported=set(unsupported),
-    )
-
-
-def labels_of(corrupted):
-    return EdgeLabels(
-        angle={e: 1.0 if c else 0.0 for e, c in corrupted.items()},
-        corrupted=dict(corrupted),
-    )
+from conftest import labels_of, stats_of, unit
 
 
 def two_vertex_instance(measured, clean):
     g = ViewGraph(2, [(0, 1, measured)])
     gt = GroundTruth(
         locations={0: np.zeros(3), 1: np.ones(3)},
-        clean_directions={(0, 1): np.asarray(clean, dtype=float)},
-        corrupted_flags={(0, 1): False},
+        edge_array=g.edge_array,
+        clean_directions=np.asarray([clean], dtype=float),
+        corrupted_flags=np.array([False]),
     )
     return g, gt
 
@@ -52,13 +37,13 @@ class TestLabelEdges:
     def test_exact_direction_is_clean(self):
         g, gt = two_vertex_instance(unit([1, 0, 0]), unit([1, 0, 0]))
         labels = label_edges(g, gt, sigma=0.0)
-        assert labels.corrupted[(0, 1)] is False
-        assert labels.angle[(0, 1)] == 0.0
+        assert labels.corrupted.tolist() == [False]
+        assert labels.angle.tolist() == [0.0]
 
     def test_right_angle_is_corrupted(self):
         g, gt = two_vertex_instance(unit([0, 1, 0]), unit([1, 0, 0]))
         labels = label_edges(g, gt, sigma=0.0)
-        assert labels.corrupted[(0, 1)] is True
+        assert labels.corrupted.tolist() == [True]
 
     def test_strict_inequality_at_threshold(self):
         # angles just under/over arcsin(sigma) flip the label; the rule is
@@ -66,22 +51,39 @@ class TestLabelEdges:
         theta = 0.5
         measured = np.array([math.cos(theta), math.sin(theta), 0.0])
         g, gt = two_vertex_instance(measured, unit([1, 0, 0]))
-        a = label_edges(g, gt, sigma=0.0).angle[(0, 1)]
-        assert label_edges(g, gt, sigma=math.sin(a + 1e-9)).corrupted[(0, 1)] is False
-        assert label_edges(g, gt, sigma=math.sin(a - 1e-9)).corrupted[(0, 1)] is True
+        a = float(label_edges(g, gt, sigma=0.0).angle[0])
+        assert label_edges(g, gt, sigma=math.sin(a + 1e-9)).corrupted.tolist() == [False]
+        assert label_edges(g, gt, sigma=math.sin(a - 1e-9)).corrupted.tolist() == [True]
 
     def test_numerical_zero_floor(self):
         measured = unit([1.0, 5e-10, 0.0])
         g, gt = two_vertex_instance(measured, unit([1, 0, 0]))
         labels = label_edges(g, gt, sigma=0.0)
-        assert labels.corrupted[(0, 1)] is False
+        assert labels.corrupted.tolist() == [False]
 
     def test_generator_flags_carried(self):
         g, gt = generate_uc(UCParams(n=20, p=0.7, q=0.4, sigma=0.0, seed=2))
         labels = label_edges(g, gt, sigma=0.0)
-        assert labels.generator_corrupted == {e: gt.corrupted_flags[e] for e in g.edges()}
+        assert np.array_equal(labels.edge_array, g.edge_array)
+        assert np.array_equal(labels.generator_corrupted, gt.corrupted_flags)
         # at sigma = 0 the angle rule reproduces the generator flags a.s.
-        assert labels.corrupted == labels.generator_corrupted
+        assert np.array_equal(labels.corrupted, labels.generator_corrupted)
+
+    def test_subgraph_labels_are_rows_of_full_labels(self):
+        g, gt = generate_uc(UCParams(n=20, p=0.7, q=0.4, sigma=0.05, seed=3))
+        keep = np.arange(g.num_edges) % 3 != 1
+        full = label_edges(g, gt, sigma=0.05)
+        sub = label_edges(g.subgraph(keep), gt, sigma=0.05)
+        assert np.array_equal(sub.edge_array, g.edge_array[keep])
+        assert np.array_equal(sub.angle, full.angle[keep])
+        assert np.array_equal(sub.corrupted, full.corrupted[keep])
+        assert np.array_equal(sub.generator_corrupted, full.generator_corrupted[keep])
+
+    def test_edge_outside_ground_truth_is_error(self):
+        g, gt = two_vertex_instance(unit([1, 0, 0]), unit([1, 0, 0]))
+        other = ViewGraph(3, [(1, 2, unit([1, 0, 0]))])
+        with pytest.raises(ValueError, match=r"ground truth does not cover edge \(1, 2\)"):
+            label_edges(other, gt, sigma=0.0)
 
 
 class TestRoc:
@@ -149,9 +151,14 @@ class TestRoc:
         assert a + b == pytest.approx(1.0, abs=1e-12)
 
     def test_missing_label_is_error(self):
-        values = {(0, 1): 0.3, (0, 2): 0.6}
-        with pytest.raises(ValueError, match="missing"):
+        values = {(0, 1): 0.3, (0, 2): 0.6, (0, 3): 0.1}
+        with pytest.raises(ValueError, match=r"labels missing edge \(0, 2\)"):
             roc_auc(stats_of(values), labels_of({(0, 1): True}))
+
+    def test_unsupported_edges_need_no_label(self):
+        stats = stats_of({(0, 1): 0.2, (0, 3): 0.8}, unsupported={(0, 2)})
+        roc = roc_auc(stats, labels_of({(0, 1): False, (0, 3): True, (1, 2): True}))
+        assert roc.auc == pytest.approx(1.0, abs=1e-12)
 
 
 class TestHistogram:
@@ -179,6 +186,11 @@ class TestHistogram:
         values = {(0, 1): 0.2}
         with pytest.raises(ValueError):
             histogram(stats_of(values), labels_of({(0, 1): True}), bins=0)
+
+    def test_all_unsupported_is_error(self):
+        stats = stats_of({}, unsupported={(0, 1), (0, 2)})
+        with pytest.raises(ValueError, match="no edge has a supported statistic"):
+            histogram(stats, labels_of({(0, 1): True, (0, 2): False}), bins=5)
 
 
 class TestLocationErrors:
@@ -233,9 +245,7 @@ class TestExpectationGap:
 
     def test_separates_constructed_instance(self):
         g, gt = generate_uc(UCParams(n=20, p=0.7, q=0.5, sigma=0.0, seed=3))
-        stats = stats_of(
-            {e: (1.0 if gt.corrupted_flags[e] else 0.0) for e in g.edges()}
-        )
+        stats = EdgeStatistics(g.edge_array, np.where(gt.corrupted_flags, 1.0, 0.0))
         gap = expectation_gap(g, gt, stats, epsilon=0.2)
         assert gap.separated is True
 

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aabscreen.aabstats import AABConfig, naive_aab
+from aabscreen.aabstats import AABConfig, ir_aab, naive_aab
 from aabscreen.evaluation import label_edges
 from aabscreen.fileio import (
     FileFormatError,
@@ -18,6 +23,7 @@ from aabscreen.fileio import (
     write_locations,
     write_statistics,
 )
+from aabscreen.graph import ViewGraph
 from aabscreen.synthetic import UCParams, generate_uc
 
 
@@ -131,11 +137,9 @@ class TestStatistics:
         path = str(tmp_path / "stats.csv")
         write_statistics(g, stats, path, metadata={"stat": "naive"})
         back = parse_statistics(path)
-        assert back.unsupported == stats.unsupported
-        assert set(back.values) == set(stats.values)
-        assert len(back.edges) == g.num_edges
-        worst = max(abs(back.values[e] - stats.values[e]) for e in stats.values)
-        assert worst == 0.0
+        assert np.isnan(stats.value).any()
+        assert np.array_equal(back.edge_array, g.edge_array)
+        assert np.array_equal(back.value, stats.value, equal_nan=True)
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_supported_value(self, tmp_path, bad):
@@ -154,6 +158,27 @@ class TestStatistics:
         with pytest.raises(FileFormatError, match="duplicate"):
             parse_statistics(str(path))
 
+    def test_flag_other_than_zero_or_one(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# aab-stats v1 n=3\ni,j,statistic,unsupported\n0,1,0.5,0\n0,2,nan,7\n")
+        with pytest.raises(FileFormatError, match=r"bad.csv:4: .*must be 0 or 1, got 7"):
+            parse_statistics(str(path))
+
+    def test_vertex_out_of_range(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# aab-stats v1 n=3\ni,j,statistic,unsupported\n0,3,0.5,0\n")
+        with pytest.raises(FileFormatError, match=r"bad.csv:3: .*out of range for n=3"):
+            parse_statistics(str(path))
+
+    def test_rows_come_back_in_canonical_order(self, tmp_path):
+        path = tmp_path / "stats.csv"
+        path.write_text(
+            "# aab-stats v1 n=4\ni,j,statistic,unsupported\n2,3,0.5,0\n0,2,nan,1\n0,1,0.25,0\n"
+        )
+        back = parse_statistics(str(path))
+        assert back.edge_array.tolist() == [[0, 1], [0, 2], [2, 3]]
+        assert np.array_equal(back.value, [0.25, np.nan, 0.5], equal_nan=True)
+
 
 class TestLabels:
     def test_round_trip(self, instance, tmp_path):
@@ -162,7 +187,58 @@ class TestLabels:
         path = str(tmp_path / "labels.csv")
         write_labels(g, labels, path, metadata={"sigma": 0.05})
         back = parse_labels(path)
-        assert back.corrupted == labels.corrupted
-        worst = max(abs(back.angle[e] - labels.angle[e]) for e in labels.angle)
-        assert worst == 0.0
+        assert np.array_equal(back.edge_array, g.edge_array)
+        assert np.array_equal(back.corrupted, labels.corrupted)
+        assert np.array_equal(back.angle, labels.angle)
         assert back.generator_corrupted is None
+
+    def test_duplicate_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# aab-labels v1 n=3\ni,j,angle,corrupted\n0,1,0.5,1\n0,1,0.1,0\n")
+        with pytest.raises(FileFormatError, match=r"bad.csv:4: duplicate edge \(0, 1\)"):
+            parse_labels(str(path))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_angle(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# aab-labels v1 n=3\ni,j,angle,corrupted\n0,1,0.5,1\n0,2,{bad},0\n")
+        with pytest.raises(FileFormatError, match=r"bad.csv:4: .*not finite"):
+            parse_labels(str(path))
+
+    @pytest.mark.parametrize("flag", ["2", "-1"])
+    def test_flag_other_than_zero_or_one(self, tmp_path, flag):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# aab-labels v1 n=3\ni,j,angle,corrupted\n0,1,0.5,{flag}\n")
+        with pytest.raises(FileFormatError, match=r"bad.csv:3: .*must be 0 or 1"):
+            parse_labels(str(path))
+
+
+class TestEdgeRowOrder:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(min_value=3, max_value=30),
+        p=st.floats(min_value=0.2, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_outputs_ignore_input_row_order(self, n, p, seed):
+        # the same measurements given in a shuffled row order, some rows
+        # reversed with negated directions, write the same bytes
+        g, gt = generate_uc(UCParams(n=n, p=p, q=0.3, sigma=0.05, seed=seed))
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(g.num_edges)
+        flip = rng.random(g.num_edges) < 0.5
+        i, j = g.edge_array[perm, 0], g.edge_array[perm, 1]
+        d = g.direction_array[perm] * np.where(flip, -1.0, 1.0)[:, None]
+        shuffled = ViewGraph.from_arrays(n, np.where(flip, j, i), np.where(flip, i, j), d)
+        cfg = AABConfig(s=7, T=3, seed=seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, write in (
+                ("naive", lambda h, path: write_statistics(h, naive_aab(h, cfg), path)),
+                ("ir", lambda h, path: write_statistics(h, ir_aab(h, cfg), path)),
+                ("labels", lambda h, path: write_labels(h, label_edges(h, gt, 0.05), path)),
+            ):
+                paths = [os.path.join(tmp, f"{name}-{k}.csv") for k in range(2)]
+                write(g, paths[0])
+                write(shuffled, paths[1])
+                with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
+                    assert a.read() == b.read(), name

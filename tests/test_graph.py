@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from aabscreen import graph as graph_module
-from aabscreen.graph import ViewGraph
+from aabscreen.graph import ViewGraph, match_edge_rows
 
 from conftest import unit
 
@@ -205,3 +205,27 @@ class TestSubgraph:
     def test_rejects_misshapen_mask(self):
         with pytest.raises(ValueError, match="row mask"):
             triangle().subgraph(np.ones(2, dtype=bool))
+
+
+class TestMatchEdgeRows:
+    def test_rows_of_a_subset(self):
+        have = np.array([[0, 1], [0, 4], [2, 3], [3, 9]])
+        want = np.array([[0, 4], [3, 9], [0, 1]])
+        assert match_edge_rows(have, want, "missing {}").tolist() == [1, 3, 0]
+
+    def test_first_missing_row_is_named(self):
+        have = np.array([[0, 1], [2, 3]])
+        want = np.array([[0, 1], [1, 2], [2, 3], [3, 4]])
+        with pytest.raises(ValueError, match=r"^missing \(1, 2\)$"):
+            match_edge_rows(have, want, "missing {}")
+
+    def test_past_the_last_key_is_missing(self):
+        have = np.array([[0, 1]])
+        with pytest.raises(ValueError, match=r"\(5, 6\)"):
+            match_edge_rows(have, np.array([[5, 6]]), "missing {}")
+
+    def test_empty_sides(self):
+        none = np.zeros((0, 2), dtype=np.int64)
+        assert match_edge_rows(triangle().edge_array, none, "missing {}").size == 0
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            match_edge_rows(none, triangle().edge_array, "missing {}")

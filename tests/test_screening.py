@@ -5,23 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from aabscreen.aabstats import EdgeStatistics
 from aabscreen.graph import ViewGraph
 from aabscreen.screening import ScreeningPolicy, filter_edges, solvable_component
+
+from conftest import stats_of
 
 EZ = np.array([0.0, 0.0, 1.0])
 
 
 def star_of_edges(n, pairs):
     return ViewGraph(n, [(i, j, EZ) for i, j in pairs])
-
-
-def stats_for(g, values, unsupported=()):
-    return EdgeStatistics(
-        edges=g.edges(),
-        values=dict(values),
-        unsupported=set(unsupported),
-    )
 
 
 class TestPolicy:
@@ -39,40 +32,38 @@ class TestPolicy:
 class TestFilterEdges:
     def test_keep_all_is_identity(self):
         g = star_of_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        stats = stats_for(g, {e: 0.1 for e in g.edges()})
+        stats = stats_of({e: 0.1 for e in g.edges()})
         out = filter_edges(g, stats, ScreeningPolicy(keep_fraction=1.0))
         assert out.edges() == g.edges()
         assert np.array_equal(out.direction_array, g.direction_array)
 
     def test_keeps_lowest_half(self):
         g = star_of_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        stats = stats_for(
-            g, {(0, 1): 0.1, (1, 2): 0.2, (2, 3): 0.3, (3, 4): 0.4}
-        )
+        stats = stats_of({(0, 1): 0.1, (1, 2): 0.2, (2, 3): 0.3, (3, 4): 0.4})
         out = filter_edges(g, stats, ScreeningPolicy(keep_fraction=0.5))
         assert out.edges() == [(0, 1), (1, 2)]
 
     def test_zero_threshold_keeps_zero_stats(self):
         g = star_of_edges(4, [(0, 1), (1, 2), (2, 3)])
-        stats = stats_for(g, {e: 0.0 for e in g.edges()})
+        stats = stats_of({e: 0.0 for e in g.edges()})
         out = filter_edges(g, stats, ScreeningPolicy(mode="threshold", threshold=0.0))
         assert out.edges() == g.edges()
 
     def test_empty_survivors_is_error(self):
         g = star_of_edges(3, [(0, 1), (1, 2)])
-        stats = stats_for(g, {e: 1.0 for e in g.edges()})
+        stats = stats_of({e: 1.0 for e in g.edges()})
         with pytest.raises(ValueError, match="every edge"):
             filter_edges(g, stats, ScreeningPolicy(mode="threshold", threshold=0.5))
 
     def test_tie_break_by_canonical_order(self):
         g = star_of_edges(4, [(0, 1), (0, 2), (0, 3)])
-        stats = stats_for(g, {e: 0.5 for e in g.edges()})
+        stats = stats_of({e: 0.5 for e in g.edges()})
         out = filter_edges(g, stats, ScreeningPolicy(keep_fraction=1 / 3))
         assert out.edges() == [(0, 1)]
 
     def test_unsupported_kept_by_default(self):
         g = star_of_edges(4, [(0, 1), (1, 2), (2, 3)])
-        stats = stats_for(g, {(0, 1): 0.1, (1, 2): 0.9}, unsupported=[(2, 3)])
+        stats = stats_of({(0, 1): 0.1, (1, 2): 0.9}, unsupported=[(2, 3)])
         out = filter_edges(g, stats, ScreeningPolicy(keep_fraction=0.5))
         assert out.edges() == [(0, 1), (2, 3)]
         strict = ScreeningPolicy(keep_fraction=0.5, drop_unsupported=True)
@@ -80,18 +71,33 @@ class TestFilterEdges:
 
     def test_missing_statistic_is_error(self):
         g = star_of_edges(3, [(0, 1), (1, 2)])
-        stats = stats_for(g, {(0, 1): 0.1})
+        stats = stats_of({(0, 1): 0.1})
         with pytest.raises(ValueError, match="cover"):
             filter_edges(g, stats, ScreeningPolicy())
 
+    def test_missing_statistic_names_first_edge(self):
+        g = star_of_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        stats = stats_of({(0, 1): 0.1, (3, 4): 0.2})
+        with pytest.raises(ValueError, match=r"statistics do not cover edge \(1, 2\)"):
+            filter_edges(g, stats, ScreeningPolicy())
+
+    def test_statistics_may_cover_more_edges(self):
+        g = star_of_edges(5, [(0, 1), (2, 3), (3, 4)])
+        stats = stats_of(
+            {(0, 1): 0.4, (1, 2): 0.0, (2, 3): 0.1, (3, 4): 0.3}, unsupported=[(0, 4)]
+        )
+        out = filter_edges(g, stats, ScreeningPolicy(keep_fraction=0.5))
+        assert out.edges() == [(2, 3), (3, 4)]
+
     def test_survivor_count_never_grows(self):
         g = star_of_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        stats = stats_for(g, {e: float(k) for k, e in enumerate(g.edges())})
+        values = {e: float(k) for k, e in enumerate(g.edges())}
+        stats = stats_of(values)
         for frac in (0.2, 0.4, 0.6, 0.8, 1.0):
             out = filter_edges(g, stats, ScreeningPolicy(keep_fraction=frac))
             assert out.num_edges <= g.num_edges
-            kept_vals = sorted(stats.values[e] for e in out.edges())
-            assert kept_vals == sorted(stats.values.values())[: len(kept_vals)]
+            kept_vals = sorted(values[e] for e in out.edges())
+            assert kept_vals == sorted(values.values())[: len(kept_vals)]
 
 
 class TestSolvableComponent:

@@ -31,13 +31,14 @@ class TestParams:
 class TestGenerate:
     def test_clean_model_is_exact(self):
         g, gt = generate_uc(UCParams(n=30, p=0.6, q=0.0, sigma=0.0, seed=4))
-        assert not any(gt.corrupted_flags.values())
-        for (i, j) in g.edges():
-            assert np.array_equal(g.direction(i, j), gt.clean_directions[(i, j)])
+        assert not gt.corrupted_flags.any()
+        assert np.array_equal(gt.edge_array, g.edge_array)
+        assert np.array_equal(g.direction_array, gt.clean_directions)
 
     def test_full_corruption(self):
         g, gt = generate_uc(UCParams(n=30, p=0.6, q=1.0, sigma=0.0, seed=4))
-        assert all(gt.corrupted_flags.values())
+        assert gt.corrupted_flags.shape == (g.num_edges,)
+        assert gt.corrupted_flags.all()
 
     def test_edge_count_concentration(self):
         # |E| ~ Binomial(n(n-1)/2, p): stay within 4 standard deviations
@@ -52,14 +53,14 @@ class TestGenerate:
         bad = 0
         for seed in range(20):
             _, gt = generate_uc(UCParams(n=200, p=0.5, q=0.2, sigma=0.0, seed=seed))
-            flags = list(gt.corrupted_flags.values())
-            total += len(flags)
-            bad += sum(flags)
+            total += gt.corrupted_flags.size
+            bad += int(gt.corrupted_flags.sum())
         assert abs(bad / total - 0.2) <= 0.02
 
     def test_clean_directions_match_locations(self):
         g, gt = generate_uc(UCParams(n=20, p=0.7, q=0.3, sigma=0.1, seed=5))
-        for (i, j), d in gt.clean_directions.items():
+        assert np.array_equal(gt.edge_array, g.edge_array)
+        for (i, j), d in zip(g.edges(), gt.clean_directions):
             diff = gt.locations[i] - gt.locations[j]
             expected = diff / np.linalg.norm(diff)
             assert np.abs(d - expected).max() <= 1e-12
@@ -67,18 +68,14 @@ class TestGenerate:
     def test_noise_angle_grows_with_sigma(self):
         def mean_clean_angle(sigma):
             g, gt = generate_uc(UCParams(n=60, p=0.8, q=0.0, sigma=sigma, seed=12))
-            edges = g.edges()
-            measured = g.direction_array
-            clean = np.array([gt.clean_directions[e] for e in edges])
-            return great_circle_distance_batch(measured, clean).mean()
+            return great_circle_distance_batch(g.direction_array, gt.clean_directions).mean()
 
         assert mean_clean_angle(0.1) > mean_clean_angle(0.05)
 
     def test_noise_bounded_by_arcsin_sigma(self):
         sigma = 0.3
         g, gt = generate_uc(UCParams(n=60, p=0.8, q=0.0, sigma=sigma, seed=13))
-        clean = np.array([gt.clean_directions[e] for e in g.edges()])
-        angles = great_circle_distance_batch(g.direction_array, clean)
+        angles = great_circle_distance_batch(g.direction_array, gt.clean_directions)
         assert angles.max() <= math.asin(sigma) + 1e-12
 
     def test_deterministic(self):
@@ -87,7 +84,7 @@ class TestGenerate:
         g2, gt2 = generate_uc(params)
         assert g1.edges() == g2.edges()
         assert np.array_equal(g1.direction_array, g2.direction_array)
-        assert gt1.corrupted_flags == gt2.corrupted_flags
+        assert np.array_equal(gt1.corrupted_flags, gt2.corrupted_flags)
 
     def test_edge_probability_does_not_reshuffle(self):
         # an edge present under both p gets the same direction and flag
@@ -97,14 +94,15 @@ class TestGenerate:
         assert shared == set(sparse.edges())  # u < 0.3 implies u < 0.7
         for e in shared:
             assert np.array_equal(sparse.direction(*e), dense.direction(*e))
-            assert gt_s.corrupted_flags[e] == gt_d.corrupted_flags[e]
+            flag_s = gt_s.corrupted_flags[sparse.edge_row(*e)]
+            assert flag_s == gt_d.corrupted_flags[dense.edge_row(*e)]
 
     def test_corrupted_directions_uniform_on_sphere(self):
         # Archimedes: the z-component of a uniform point on S2 is U[-1, 1].
         # KS statistic over ~2e4 corrupted edges; bound: the asymptotic upper
         # 1e-4 quantile sqrt(ln(2 / 1e-4) / (2N)).
         g, gt = generate_uc(UCParams(n=200, p=1.0, q=1.0, sigma=0.05, seed=31))
-        assert all(gt.corrupted_flags.values())
+        assert gt.corrupted_flags.all()
         z = np.sort(g.direction_array[:, 2])
         size = z.size
         cdf = (z + 1.0) / 2.0
