@@ -45,7 +45,6 @@ _EXPORTS = {
     "aab_inconsistency": "sphere",
     "aab_inconsistency_oracle": "sphere",
     "great_circle_distance": "sphere",
-    "sample_uniform_sphere": "sphere",
 }
 
 __all__ = sorted(_SUBMODULES | set(_EXPORTS))

@@ -127,24 +127,18 @@ def _cmd_filter(args) -> int:
     from .fileio import parse_edge_list, parse_statistics, write_edge_list
     from .screening import ScreeningPolicy, filter_edges, solvable_component
 
-    if args.threshold is not None:
-        policy = ScreeningPolicy(
-            mode="threshold",
-            threshold=args.threshold,
-            min_degree=args.min_degree,
-            drop_unsupported=args.drop_unsupported,
-        )
-    else:
-        keep = 0.5 if args.keep_fraction is None else args.keep_fraction
-        if not 0.0 < keep <= 1.0:
-            print("error: --keep-fraction must be in (0, 1]", file=sys.stderr)
-            return 2
-        policy = ScreeningPolicy(
-            mode="keep_fraction",
-            keep_fraction=keep,
-            min_degree=args.min_degree,
-            drop_unsupported=args.drop_unsupported,
-        )
+    # --keep-fraction and --threshold are exclusive, so with a threshold the
+    # fraction is the unused default
+    keep = 0.5 if args.keep_fraction is None else args.keep_fraction
+    if not 0.0 < keep <= 1.0:
+        print("error: --keep-fraction must be in (0, 1]", file=sys.stderr)
+        return 2
+    policy = ScreeningPolicy(
+        keep_fraction=keep,
+        threshold=args.threshold,
+        min_degree=args.min_degree,
+        drop_unsupported=args.drop_unsupported,
+    )
 
     g = parse_edge_list(args.edges)
     stats = parse_statistics(args.stats)
@@ -182,6 +176,17 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    usage = None
+    if args.estimate is not None and args.ground_truth is None:
+        usage = "--estimate requires --ground-truth"
+    elif args.ground_truth is not None and args.estimate is None:
+        usage = "--ground-truth requires --estimate"
+    elif args.baseline_error is not None and args.estimate is None:
+        usage = "--baseline-error requires --estimate and --ground-truth"
+    if usage is not None:
+        print(f"error: {usage}", file=sys.stderr)
+        return 2
+
     from .evaluation import histogram, improvement, location_errors, roc_auc
     from .fileio import (
         parse_edge_list,
@@ -209,7 +214,7 @@ def _cmd_evaluate(args) -> int:
     write_histogram_csv(hist, os.path.join(args.out_dir, "hist.csv"), metadata=meta)
 
     report = {"auc": roc.auc, "inputs": dict(meta)}
-    if args.estimate and args.ground_truth:
+    if args.estimate is not None:
         est, _ = parse_locations(args.estimate)
         gt, _ = parse_locations(args.ground_truth)
         scale, shift, aligned = align_similarity(est, gt)

@@ -65,10 +65,6 @@ class RocCurve:
     tpr: np.ndarray
     auc: float | None
 
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return [(float(f), float(t)) for f, t in zip(self.fpr, self.tpr)]
-
 
 @dataclass
 class HistogramCounts:

@@ -76,8 +76,14 @@ class _Reader:
 
     def __init__(self, path: str):
         self.path = path
-        with open(path, "r", encoding="ascii") as fh:
-            self.lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            self.lines = data.decode("ascii").splitlines()
+        except UnicodeDecodeError as exc:
+            # the appended character closes the last, possibly empty, line
+            lineno = len((data[: exc.start].decode("ascii") + "x").splitlines())
+            self.fail(lineno, f"non-ASCII byte 0x{data[exc.start]:02x}")
 
     def fail(self, lineno: int, msg: str):
         raise FileFormatError(f"{self.path}:{lineno}: {msg}")
@@ -89,6 +95,8 @@ class _Reader:
             n = int(self.lines[0].split("n=")[1].split()[0])
         except (IndexError, ValueError):
             raise FileFormatError(f"{self.path}:1: header is missing n=<count>") from None
+        if n < 2:
+            self.fail(1, f"header n={n}: need at least 2 vertices")
         return n
 
     def data_lines(self):

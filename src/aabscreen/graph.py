@@ -203,26 +203,6 @@ class ViewGraph:
         rm.setflags(write=False)
         return rm
 
-    def _row(self, i: int, j: int) -> int:
-        if 0 <= i < self._n and 0 <= j < self._n:
-            return int(self._row_map[i, j])
-        return -1
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return self._row(i, j) >= 0
-
-    def edge_row(self, i: int, j: int) -> int:
-        """Row index of edge {i, j} in the canonical arrays."""
-        row = self._row(i, j)
-        if row < 0:
-            raise KeyError(f"edge ({i}, {j}) not in graph")
-        return row
-
-    def direction(self, i: int, j: int) -> np.ndarray:
-        """Direction of edge {i, j}, oriented from j toward i."""
-        d = self._dirs[self.edge_row(i, j)]
-        return d.copy() if i < j else -d
-
     def neighbors(self, i: int) -> np.ndarray:
         return self._nbr[self._nbr_ptr[i] : self._nbr_ptr[i + 1]]
 
@@ -273,27 +253,25 @@ class ViewGraph:
 
     def common_neighbors(self, i: int, j: int) -> np.ndarray:
         """Sorted vertices adjacent to both i and j (never includes i or j)."""
-        row = self.edge_row(i, j)
+        row = self.edge_rows_of_pairs(i, j)
         indptr, indices = self.common_neighbor_csr
         return indices[indptr[row] : indptr[row + 1]]
 
     def edge_rows_of_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Vectorized ``edge_row`` for arrays of endpoints (any orientation).
-
-        All queried pairs must be edges of the graph.
-        """
+        """Row in the canonical arrays of each edge {a[k], b[k]}, either
+        orientation; a pair that is not an edge raises ``KeyError``."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         lo = np.minimum(a, b)
         hi = np.maximum(a, b)
         if lo.size and (lo.min() < 0 or hi.max() >= self._n):
             bad = int(np.argmax((lo < 0) | (hi >= self._n)))
-            raise KeyError(f"edge ({int(lo[bad])}, {int(hi[bad])}) not in graph")
+            raise KeyError(f"edge ({int(lo.flat[bad])}, {int(hi.flat[bad])}) not in graph")
         rows = self._row_map.reshape(-1)[lo * self._n + hi]
         missing = rows < 0
         if missing.any():
             bad = int(np.argmax(missing))
-            raise KeyError(f"edge ({int(lo[bad])}, {int(hi[bad])}) not in graph")
+            raise KeyError(f"edge ({int(lo.flat[bad])}, {int(hi.flat[bad])}) not in graph")
         return rows.astype(np.intp)
 
     def directions_of_rows(self, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -301,7 +279,7 @@ class ViewGraph:
         return self._dirs[rows] * np.where(a < b, 1.0, -1.0)[:, None]
 
     def directions_of_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Vectorized ``direction``: rows point from b[k] toward a[k]."""
+        """Directions of edges {a[k], b[k]}, row k pointing from b[k] toward a[k]."""
         return self.directions_of_rows(self.edge_rows_of_pairs(a, b), a, b)
 
     # -- connectivity --------------------------------------------------------
@@ -310,17 +288,29 @@ class ViewGraph:
         """Sorted vertices with degree >= 1."""
         return np.flatnonzero(np.diff(self._nbr_ptr) > 0)
 
+    def components(self) -> list[list[int]]:
+        """Connected components of the vertices with an edge.
+
+        Each component lists its smallest vertex first, and components come
+        in increasing order of that vertex.
+        """
+        seen = [False] * self._n
+        comps = []
+        for start in self.active_vertices().tolist():
+            if seen[start]:
+                continue
+            seen[start] = True
+            comp = [start]
+            stack = [start]
+            while stack:
+                for w in self.neighbors(stack.pop()).tolist():
+                    if not seen[w]:
+                        seen[w] = True
+                        comp.append(w)
+                        stack.append(w)
+            comps.append(comp)
+        return comps
+
     def is_connected_over_active(self) -> bool:
         """True if every vertex with an edge is in one connected component."""
-        active = self.active_vertices()
-        if active.size == 0:
-            return False
-        seen = {int(active[0])}
-        stack = [int(active[0])]
-        while stack:
-            v = stack.pop()
-            for w in self.neighbors(v).tolist():
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == active.size
+        return len(self.components()) == 1

@@ -26,26 +26,26 @@ __all__ = ["ScreeningPolicy", "filter_edges", "solvable_component"]
 class ScreeningPolicy:
     """Edge-removal policy.
 
-    ``mode`` selects exactly one of the two criteria: ``"keep_fraction"``
-    keeps the given fraction of supported edges with the lowest statistics;
-    ``"threshold"`` keeps supported edges with statistic <= threshold.
+    Without a ``threshold`` it keeps the ``keep_fraction`` of supported
+    edges with the lowest statistics; with one it keeps the supported edges
+    whose statistic is <= threshold, and ``keep_fraction`` is ignored.
     """
 
-    mode: str = "keep_fraction"
     keep_fraction: float = 0.5
     threshold: float | None = None
     min_degree: int = 2
     drop_unsupported: bool = False
 
     def __post_init__(self):
-        if self.mode not in ("keep_fraction", "threshold"):
-            raise ValueError(f"unknown screening mode {self.mode!r}")
         if self.mode == "keep_fraction" and not 0.0 < self.keep_fraction <= 1.0:
             raise ValueError("keep_fraction must be in (0, 1]")
-        if self.mode == "threshold" and self.threshold is None:
-            raise ValueError("threshold mode requires a threshold value")
         if self.min_degree < 0:
             raise ValueError("min_degree must be >= 0")
+
+    @property
+    def mode(self) -> str:
+        """The criterion in force: ``"keep_fraction"`` or ``"threshold"``."""
+        return "keep_fraction" if self.threshold is None else "threshold"
 
 
 def filter_edges(g: ViewGraph, stats: EdgeStatistics, policy: ScreeningPolicy) -> ViewGraph:
@@ -85,13 +85,9 @@ def solvable_component(g: ViewGraph, min_degree: int = 2) -> ViewGraph:
     if g.num_edges == 0:
         raise ValueError("graph has no edges")
 
-    alive = [True] * g.n
     deg = [g.degree(v) for v in range(g.n)]
+    alive = [d > 0 for d in deg]
     pending = deque(v for v in range(g.n) if 0 < deg[v] < min_degree)
-    dead = set(v for v in range(g.n) if deg[v] == 0)
-    for v in range(g.n):
-        if deg[v] == 0:
-            alive[v] = False
     while pending:
         v = pending.popleft()
         if not alive[v]:
@@ -103,31 +99,12 @@ def solvable_component(g: ViewGraph, min_degree: int = 2) -> ViewGraph:
                 if deg[w] < min_degree:
                     pending.append(w)
 
-    remaining = [v for v in range(g.n) if alive[v] and v not in dead]
-    if not remaining:
+    alive = np.array(alive)
+    core = g.subgraph(alive[g.edge_array[:, 0]] & alive[g.edge_array[:, 1]])
+    comps = core.components()
+    if not comps:
         raise ValueError(f"no vertices survive the {min_degree}-core reduction")
-
-    seen: set[int] = set()
-    best: list[int] = []
-    for start in remaining:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in g.neighbors(v).tolist():
-                if alive[w] and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        if len(comp) > len(best) or (len(comp) == len(best) and min(comp) < min(best)):
-            best = comp
-
     keep = np.zeros(g.n, dtype=bool)
-    keep[best] = True
-    survivors = keep[g.edge_array[:, 0]] & keep[g.edge_array[:, 1]]
-    if not survivors.any():
-        raise ValueError("largest component has no edges")
-    return g.subgraph(survivors)
+    keep[max(comps, key=len)] = True
+    # an edge of the core lies in the component of either of its ends
+    return core.subgraph(keep[core.edge_array[:, 0]])

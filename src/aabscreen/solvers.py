@@ -107,8 +107,8 @@ def _vertex_positions(g: ViewGraph, verts: np.ndarray) -> tuple[np.ndarray, np.n
     return pos, pos[g.edge_array[:, 0]], pos[g.edge_array[:, 1]]
 
 
-def _assemble(g: ViewGraph, verts: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
-    """Dense 3N x 3N quadratic form of the weighted projection objective.
+def _assemble(g: ViewGraph, verts: np.ndarray) -> np.ndarray:
+    """Dense 3N x 3N quadratic form of the projection objective.
 
     Edge e between rows i and j adds its projector P_e to the (i, i) and
     (j, j) blocks and -P_e to the (i, j) and (j, i) blocks; one bincount over
@@ -117,8 +117,6 @@ def _assemble(g: ViewGraph, verts: np.ndarray, weights: np.ndarray | None) -> np
     _, ip, jp = _vertex_positions(g, verts)
     d = g.direction_array
     proj = np.eye(3)[None, :, :] - d[:, :, None] * d[:, None, :]
-    if weights is not None:
-        proj = proj * weights[:, None, None]
 
     n3 = 3 * verts.size
     comp = np.arange(3)
@@ -200,15 +198,13 @@ def _edge_residuals(g: ViewGraph, pos: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.linalg.norm(rej, axis=1)
 
 
-def _lowest_eigenpairs(
-    g: ViewGraph, verts: np.ndarray, weights: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
+def _lowest_eigenpairs(g: ViewGraph, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two smallest eigenpairs of the centroid-lifted form.
 
     Returns (eigenvalues, eigenvectors as the columns of a (3N, 2) array).
     """
     n = verts.size
-    a = _assemble(g, verts, weights)
+    a = _assemble(g, verts)
 
     # Rigid translations span a 3-dim null space of the form; lift them with
     # a centroid penalty so the smallest eigenvector is automatically
@@ -228,19 +224,23 @@ def _lowest_eigenpairs(
     vecs = _top_inverse_pairs(_cholesky(a, "constrained spectral form"), 3 * n)
 
     pos, _, _ = _vertex_positions(g, verts)
-    w = 1.0 if weights is None else weights
     evals = np.empty(2)
     for k in range(2):
         t = vecs[:, k].reshape(n, 3)
         sq = _edge_residuals(g, pos, t) ** 2
-        evals[k] = float((w * sq).sum()) + mu / n * float(np.sum(t.sum(axis=0) ** 2))
+        evals[k] = float(sq.sum()) + mu / n * float(np.sum(t.sum(axis=0) ** 2))
     return evals, vecs
 
 
-def _solve_weighted(g: ViewGraph, weights: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gauge_fixed(t: np.ndarray) -> np.ndarray:
+    c = t - t.mean(axis=0)
+    return c / np.linalg.norm(c)
+
+
+def _solve_spectral(g: ViewGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One constrained eigen-solve; returns (verts, t, residuals)."""
     verts = _solver_vertices(g)
-    evals, evecs = _lowest_eigenpairs(g, verts, weights)
+    evals, evecs = _lowest_eigenpairs(g, verts)
 
     if evals[1] - evals[0] < _GAP_TOL:
         raise DegenerateInstanceError(
@@ -248,10 +248,7 @@ def _solve_weighted(g: ViewGraph, weights: np.ndarray | None) -> tuple[np.ndarra
             "instance is (near-)degenerate"
         )
 
-    t = evecs[:, 0].reshape(verts.size, 3)
-    t = t - t.mean(axis=0)
-    t = t / np.linalg.norm(t)
-
+    t = _gauge_fixed(evecs[:, 0].reshape(verts.size, 3))
     pos, _, _ = _vertex_positions(g, verts)
     return verts, t, _edge_residuals(g, pos, t)
 
@@ -271,13 +268,8 @@ def solve_ls_spectral(g: ViewGraph) -> LocationEstimate:
     when the two smallest constrained eigenvalues (nearly) coincide, e.g.
     for collinear locations or non-rigid graphs.
     """
-    verts, t, res = _solve_weighted(g, None)
+    verts, t, res = _solve_spectral(g)
     return _to_estimate(verts, t, res, converged=True, iterations=1)
-
-
-def _gauge_fixed(t: np.ndarray) -> np.ndarray:
-    c = t - t.mean(axis=0)
-    return c / np.linalg.norm(c)
 
 
 def solve_irls_lud(g: ViewGraph, max_iters: int = 100, delta: float = 1e-8) -> LocationEstimate:
@@ -303,7 +295,7 @@ def solve_irls_lud(g: ViewGraph, max_iters: int = 100, delta: float = 1e-8) -> L
     if delta <= 0.0:
         raise ValueError("delta must be > 0")
 
-    verts, t, _ = _solve_weighted(g, None)
+    verts, t, _ = _solve_spectral(g)
     n = verts.size
     pos, ia, ja = _vertex_positions(g, verts)
     gam = g.direction_array
@@ -312,14 +304,11 @@ def solve_irls_lud(g: ViewGraph, max_iters: int = 100, delta: float = 1e-8) -> L
     lap_index = np.concatenate([ia * n + ia, ja * n + ja, ia * n + ja, ja * n + ia])
     rhs_index = (3 * np.concatenate([ia, ja])[:, None] + np.arange(3)).ravel()
 
-    def dots_of(tt):
-        return np.einsum("ij,ij->i", tt[ia] - tt[ja], gam)
-
     # Resolve the spectral sign ambiguity toward positive displacements and
     # rescale so the length floor starts inactive: consistent data then has
     # every l_e = <diff, gamma> >= 1 and the exact shape is a fixed point.
     # The cap keeps near-zero dots of corrupted edges from blowing the scale.
-    dots = dots_of(t)
+    dots = np.einsum("ij,ij->i", t[ia] - t[ja], gam)
     if dots.sum() < 0.0:
         t = -t
         dots = -dots
@@ -333,13 +322,17 @@ def solve_irls_lud(g: ViewGraph, max_iters: int = 100, delta: float = 1e-8) -> L
         small = r < delta
         return float(np.where(small, (r * r + delta * delta) / (2.0 * delta), r).sum())
 
+    def floored_residuals(tt):
+        # lengths l_e = max(1, <t_i - t_j, gamma_e>) and residuals r_e
+        diffs = tt[ia] - tt[ja]
+        ell = np.maximum(1.0, np.einsum("ij,ij->i", diffs, gam))
+        return ell, np.linalg.norm(diffs - ell[:, None] * gam, axis=1)
+
     trace = []
     converged = False
     iterations = 1
+    ell, r = floored_residuals(t)
     for _ in range(max_iters - 1):
-        diffs = t[ia] - t[ja]
-        ell = np.maximum(1.0, np.einsum("ij,ij->i", diffs, gam))
-        r = np.linalg.norm(diffs - ell[:, None] * gam, axis=1)
         w = 1.0 / np.maximum(r, delta)
 
         lap = np.bincount(lap_index, weights=np.concatenate([w, w, -w, -w]), minlength=n * n)
@@ -353,9 +346,8 @@ def solve_irls_lud(g: ViewGraph, max_iters: int = 100, delta: float = 1e-8) -> L
         t_new = t_new - t_new.mean(axis=0)
 
         iterations += 1
-        diffs = t_new[ia] - t_new[ja]
-        ell = np.maximum(1.0, np.einsum("ij,ij->i", diffs, gam))
-        trace.append(smoothed_objective(np.linalg.norm(diffs - ell[:, None] * gam, axis=1)))
+        ell, r = floored_residuals(t_new)
+        trace.append(smoothed_objective(r))
 
         a = _gauge_fixed(t_new)
         b = _gauge_fixed(t)

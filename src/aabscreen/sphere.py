@@ -26,7 +26,6 @@ __all__ = [
     "as_unit_vector",
     "great_circle_distance",
     "great_circle_distance_batch",
-    "sample_uniform_sphere",
     "sample_uniform_sphere_batch",
     "aab_inconsistency",
     "aab_inconsistency_batch",
@@ -76,21 +75,14 @@ def great_circle_distance_batch(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Row-wise angles between two (..., 3) arrays of unit vectors.
 
     Uses the chord-based arcsine form, which stays accurate near 0 and pi
-    where arccos of a clamped dot product loses half the significant digits.
+    where arccos of a clamped dot product loses half the significant digits:
+    the chord U - V when the dot product is >= 0, else pi minus the angle of
+    the chord U + V to the antipode.
     """
-    dots = np.einsum("...i,...i->...", U, V)
-    near = 2.0 * np.arcsin(np.minimum(1.0, np.linalg.norm(U - V, axis=-1) / 2.0))
-    far = np.pi - 2.0 * np.arcsin(np.minimum(1.0, np.linalg.norm(U + V, axis=-1) / 2.0))
-    return np.where(dots >= 0.0, near, far)
-
-
-def sample_uniform_sphere(stream: np.random.Generator) -> UnitVector3:
-    """Draw one point uniformly from S2 (normalized isotropic Gaussian)."""
-    while True:
-        v = stream.normal(size=3)
-        n = np.linalg.norm(v)
-        if n > 0.0:
-            return v / n
+    near = np.einsum("...i,...i->...", U, V) >= 0.0
+    chord = np.linalg.norm(U - np.where(near, 1.0, -1.0)[..., None] * V, axis=-1)
+    half = 2.0 * np.arcsin(np.minimum(1.0, chord / 2.0))
+    return np.where(near, half, np.pi - half)
 
 
 def sample_uniform_sphere_batch(stream: np.random.Generator, size: int) -> np.ndarray:
@@ -164,17 +156,12 @@ def aab_inconsistency_batch(G3: np.ndarray, G1: np.ndarray, G2: np.ndarray) -> n
     out[rows] = np.arctan2(np.linalg.norm(g3 - gp, axis=1), np.linalg.norm(gp, axis=1))
 
     # the nearer endpoint is -g, g the base vector with the smaller dot
-    # product with g3; g3 - (-g) is the chord to it, g3 + (-g) the chord to
-    # its antipode, whichever is the shorter
+    # product with g3
     rows = np.flatnonzero(~inside)
-    xo, yo = x[rows], y[rows]
-    first = xo <= yo
+    first = x[rows] <= y[rows]
     g = G2[rows]
     g[first] = G1[rows[first]]
-    near = np.minimum(xo, yo) <= 0.0
-    chord = G3[rows] + np.where(near, 1.0, -1.0)[:, None] * g
-    half = 2.0 * np.arcsin(np.minimum(1.0, np.linalg.norm(chord, axis=1) / 2.0))
-    out[rows] = np.where(near, half, np.pi - half)
+    out[rows] = great_circle_distance_batch(G3[rows], -g)
     return out
 
 

@@ -26,8 +26,8 @@ from aabscreen.solvers import (
 )
 
 
-def dense_form(g: ViewGraph, verts: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
-    """3N x 3N quadratic form of the weighted projection objective."""
+def dense_form(g: ViewGraph, verts: np.ndarray) -> np.ndarray:
+    """3N x 3N quadratic form of the projection objective."""
     pos = np.full(g.n, -1, dtype=np.int64)
     pos[verts] = np.arange(verts.size)
     ip = pos[g.edge_array[:, 0]]
@@ -35,8 +35,6 @@ def dense_form(g: ViewGraph, verts: np.ndarray, weights: np.ndarray | None) -> n
 
     d = g.direction_array
     proj = np.eye(3)[None, :, :] - d[:, :, None] * d[:, None, :]
-    if weights is not None:
-        proj = proj * weights[:, None, None]
 
     n = verts.size
     blocks = np.zeros((n, n, 3, 3))
@@ -47,20 +45,20 @@ def dense_form(g: ViewGraph, verts: np.ndarray, weights: np.ndarray | None) -> n
     return blocks.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
 
 
-def dense_lowest_eigenpairs(g: ViewGraph, verts: np.ndarray, weights: np.ndarray | None):
+def dense_lowest_eigenpairs(g: ViewGraph, verts: np.ndarray):
     """(eigenvalues, eigenvectors) of the two smallest pairs of the lifted form."""
     n = verts.size
-    a = dense_form(g, verts, weights)
+    a = dense_form(g, verts)
     mu = 2.0 * float(np.abs(a).sum(axis=1).max()) + 1.0
     lift = np.kron(np.full((n, n), mu / n), np.eye(3))
     return scipy.linalg.eigh(a + lift, subset_by_index=[0, 1])
 
 
-def dense_solve_weighted(g: ViewGraph, weights: np.ndarray | None):
+def dense_solve_spectral(g: ViewGraph):
     """(verts, t, residuals) of one constrained eigen-solve."""
     verts = _solver_vertices(g)
     n = verts.size
-    evals, evecs = dense_lowest_eigenpairs(g, verts, weights)
+    evals, evecs = dense_lowest_eigenpairs(g, verts)
     if evals[1] - evals[0] < _GAP_TOL:
         raise DegenerateInstanceError(
             f"constrained spectral gap {evals[1] - evals[0]:.3e} below {_GAP_TOL}"
@@ -75,7 +73,7 @@ def dense_solve_weighted(g: ViewGraph, weights: np.ndarray | None):
 
 def dense_irls_lud(g: ViewGraph, max_iters: int = 100, delta: float = 1e-8):
     """``solve_irls_lud`` on the dense reference solves."""
-    verts, t, _ = dense_solve_weighted(g, None)
+    verts, t, _ = dense_solve_spectral(g)
     n = verts.size
     pos = np.full(g.n, -1, dtype=np.int64)
     pos[verts] = np.arange(n)

@@ -84,6 +84,27 @@ class TestSubcommands:
         assert err.startswith("error: ") and "edges.txt:2" in err and "non-finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "content, where",
+        [
+            (b"# aab-edges v1 n=3\n0 1 1 0 0\n0 2 0 1 \xff\n", "edges.txt:3: non-ASCII byte 0xff"),
+            (b"# aab-edges v1 n=1\n", "edges.txt:1: header n=1"),
+        ],
+        ids=["non_ascii", "n_below_two"],
+    )
+    def test_malformed_file_is_one_line_error(self, tmp_path, capsys, content, where):
+        edges = tmp_path / "edges.txt"
+        edges.write_bytes(content)
+        out = tmp_path / "out.csv"
+        code = run(
+            "screen", "--edges", edges, "--stat", "naive", "--seed", 1, "--out", out,
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and where in err
+        assert not out.exists()
+
     def test_verify_modes(self, tmp_path):
         for mode, extra in (
             ("z", []),
@@ -204,6 +225,41 @@ class TestFullPipeline:
         assert (outdir / "hist.csv").exists()
         roc_text = (outdir / "roc.csv").read_text().splitlines()
         assert roc_text[-1].startswith("# auc=")
+
+    @pytest.mark.parametrize(
+        "given, named",
+        [
+            (["--estimate"], "--estimate requires --ground-truth"),
+            (["--ground-truth"], "--ground-truth requires --estimate"),
+            (["--estimate", "--baseline-error"], "--estimate requires --ground-truth"),
+            (["--baseline-error"], "--baseline-error requires --estimate and --ground-truth"),
+        ],
+        ids=["estimate", "ground_truth", "estimate_baseline", "baseline"],
+    )
+    def test_evaluate_flag_without_its_partner_is_usage_error(
+        self, generated, tmp_path, capsys, given, named
+    ):
+        stats = tmp_path / "stats.csv"
+        outdir = tmp_path / "eval"
+        assert run(
+            "screen", "--edges", generated["edges"], "--stat", "naive",
+            "--seed", 1, "--out", stats,
+        ) == 0
+        values = {
+            "--estimate": generated["locations"],
+            "--ground-truth": generated["locations"],
+            "--baseline-error": 1.0,
+        }
+        capsys.readouterr()
+        code = run(
+            "evaluate", "--edges", generated["edges"], "--stats", stats,
+            "--labels", generated["labels"], "--out-dir", outdir,
+            *[x for flag in given for x in (flag, values[flag])],
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {named}\n"
+        assert not outdir.exists()
 
     def test_improvement_reported_with_baseline(self, generated, tmp_path):
         stats = tmp_path / "stats.csv"

@@ -213,6 +213,40 @@ class TestLabels:
             parse_labels(str(path))
 
 
+# each format's header and one well-formed data line
+PARSERS = {
+    "edges": (parse_edge_list, "# aab-edges v1", "0 1 1 0 0"),
+    "locations": (parse_locations, "# aab-locations v1", "0 1 0 0"),
+    "stats": (parse_statistics, "# aab-stats v1", "0,1,0.5,0"),
+    "labels": (parse_labels, "# aab-labels v1", "0,1,0.5,0"),
+}
+
+
+@pytest.mark.parametrize("fmt", list(PARSERS))
+class TestMalformedFiles:
+    def test_non_ascii_byte(self, tmp_path, fmt):
+        parse, header, line = PARSERS[fmt]
+        path = tmp_path / "bad.txt"
+        path.write_bytes(f"{header} n=3\n{line}\n".encode() + b"0 2 \xff\n")
+        with pytest.raises(FileFormatError, match=r"bad.txt:3: non-ASCII byte 0xff"):
+            parse(str(path))
+
+    def test_non_ascii_line_counts_blank_lines(self, tmp_path, fmt):
+        parse, header, line = PARSERS[fmt]
+        path = tmp_path / "bad.txt"
+        path.write_bytes(f"{header} n=3\r\n{line}\r\n\r\n".encode() + b"\xe9")
+        with pytest.raises(FileFormatError, match=r"bad.txt:4: non-ASCII byte 0xe9"):
+            parse(str(path))
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_header_count_below_two(self, tmp_path, fmt, n):
+        parse, header, line = PARSERS[fmt]
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{header} n={n}\n{line}\n")
+        with pytest.raises(FileFormatError, match=rf"bad.txt:1: header n={n}: need at least 2"):
+            parse(str(path))
+
+
 class TestEdgeRowOrder:
     @settings(max_examples=25, deadline=None)
     @given(

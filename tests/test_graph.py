@@ -72,7 +72,7 @@ class TestConstruction:
 
     def test_directions_renormalized(self):
         g = ViewGraph(2, [(0, 1, EZ * (1 + 5e-7))])
-        assert abs(np.linalg.norm(g.direction(0, 1)) - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(g.direction_array[0]) - 1.0) <= 1e-12
 
     def test_stored_directions_unit(self, rng):
         t = rng.normal(size=(6, 3))
@@ -89,21 +89,22 @@ class TestConstruction:
 class TestDirection:
     def test_canonical_orientation(self):
         g = ViewGraph(2, [(0, 1, EZ)])
-        assert np.array_equal(g.direction(0, 1), EZ)
+        assert np.array_equal(g.direction_array, [EZ])
+        assert np.array_equal(g.directions_of_pairs(np.array([0]), np.array([1])), [EZ])
 
     def test_antisymmetry(self):
         g = ViewGraph(2, [(0, 1, EZ)])
-        assert np.array_equal(g.direction(1, 0), -EZ)
+        assert np.array_equal(g.directions_of_pairs(np.array([1]), np.array([0])), [-EZ])
 
     def test_missing_edge(self):
         g = ViewGraph(4, [(0, 1, EZ), (1, 2, EZ), (2, 3, EZ)])
-        with pytest.raises(KeyError):
-            g.direction(1, 3)
+        with pytest.raises(KeyError, match=r"edge \(1, 3\) not in graph"):
+            g.directions_of_pairs(np.array([1]), np.array([3]))
 
     def test_reversed_input_is_negated(self):
         g = ViewGraph(2, [(1, 0, EZ)])
-        assert np.array_equal(g.direction(1, 0), EZ)
-        assert np.array_equal(g.direction(0, 1), -EZ)
+        assert np.array_equal(g.direction_array, [-EZ])
+        assert np.array_equal(g.directions_of_pairs(np.array([1, 0]), np.array([0, 1])), [EZ, -EZ])
 
     def test_vectorized_lookup_matches(self, rng):
         t = rng.normal(size=(8, 3))
@@ -115,9 +116,12 @@ class TestDirection:
         g = ViewGraph(8, edges)
         a = np.array([3, 0, 7, 5])
         b = np.array([1, 6, 2, 4])
+        given = {(i, j): d for i, j, d in edges}
         batch = g.directions_of_pairs(a, b)
         for k in range(4):
-            assert np.array_equal(batch[k], g.direction(int(a[k]), int(b[k])))
+            i, j = int(a[k]), int(b[k])
+            expected = given[(i, j)] if i < j else -given[(j, i)]
+            assert np.array_equal(batch[k], expected)
 
     def test_vectorized_lookup_missing_edge(self):
         g = triangle()
@@ -129,7 +133,6 @@ class TestDirection:
         # pair key 0 * 3 + 5 equals that of (1, 2): range is checked first
         with pytest.raises(KeyError):
             g.edge_rows_of_pairs(np.array([0]), np.array([5]))
-        assert not g.has_edge(0, 5)
 
 
 class TestCommonNeighbors:

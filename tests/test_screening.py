@@ -20,12 +20,17 @@ def star_of_edges(n, pairs):
 class TestPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ScreeningPolicy(mode="nope")
-        with pytest.raises(ValueError):
             ScreeningPolicy(keep_fraction=0.0)
         with pytest.raises(ValueError):
             ScreeningPolicy(keep_fraction=1.2)
         with pytest.raises(ValueError):
+            ScreeningPolicy(min_degree=-1)
+
+    def test_mode_follows_threshold(self):
+        assert ScreeningPolicy().mode == "keep_fraction"
+        # with a threshold the fraction is ignored, so it is not validated
+        assert ScreeningPolicy(threshold=0.0, keep_fraction=0.0).mode == "threshold"
+        with pytest.raises(TypeError):
             ScreeningPolicy(mode="threshold")
 
 
@@ -46,14 +51,14 @@ class TestFilterEdges:
     def test_zero_threshold_keeps_zero_stats(self):
         g = star_of_edges(4, [(0, 1), (1, 2), (2, 3)])
         stats = stats_of({e: 0.0 for e in g.edges()})
-        out = filter_edges(g, stats, ScreeningPolicy(mode="threshold", threshold=0.0))
+        out = filter_edges(g, stats, ScreeningPolicy(threshold=0.0))
         assert out.edges() == g.edges()
 
     def test_empty_survivors_is_error(self):
         g = star_of_edges(3, [(0, 1), (1, 2)])
         stats = stats_of({e: 1.0 for e in g.edges()})
         with pytest.raises(ValueError, match="every edge"):
-            filter_edges(g, stats, ScreeningPolicy(mode="threshold", threshold=0.5))
+            filter_edges(g, stats, ScreeningPolicy(threshold=0.5))
 
     def test_tie_break_by_canonical_order(self):
         g = star_of_edges(4, [(0, 1), (0, 2), (0, 3)])

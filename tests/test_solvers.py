@@ -18,7 +18,7 @@ from aabscreen.solvers import (
     DegenerateInstanceError,
     _assemble,
     _lowest_eigenpairs,
-    _solve_weighted,
+    _solve_spectral,
     align_similarity,
     solve_irls_lud,
     solve_ls_spectral,
@@ -26,7 +26,7 @@ from aabscreen.solvers import (
 from aabscreen.synthetic import UCParams, generate_uc
 
 from conftest import complete_graph_from_locations
-from dense_solvers import dense_form, dense_irls_lud, dense_lowest_eigenpairs, dense_solve_weighted
+from dense_solvers import dense_form, dense_irls_lud, dense_lowest_eigenpairs, dense_solve_spectral
 
 
 def aligned_errors(est, gt_locs):
@@ -93,7 +93,7 @@ class TestSpectral:
         est = solve_ls_spectral(g)
         verts = np.array(sorted(est.locations))
         t = np.array([est.locations[v] for v in verts]).ravel()
-        a = _assemble(g, verts, None)
+        a = _assemble(g, verts)
         quad = float(t @ a @ t)
         assert est.residuals.shape == (g.num_edges,)
         ssq = float((est.residuals**2).sum())
@@ -102,12 +102,11 @@ class TestSpectral:
     def test_quadratic_form_matches_direct_sum(self, rng):
         g, _ = generate_uc(UCParams(n=25, p=0.6, q=0.3, sigma=0.1, seed=5))
         verts = g.active_vertices()
-        a = _assemble(g, verts, None)
+        a = _assemble(g, verts)
         pos = {int(v): k for k, v in enumerate(verts)}
         x = rng.normal(size=(verts.size, 3))
         direct = 0.0
-        for (i, j) in g.edges():
-            gam = g.direction(i, j)
+        for (i, j), gam in zip(g.edges(), g.direction_array):
             diff = x[pos[i]] - x[pos[j]]
             rej = diff - np.dot(diff, gam) * gam
             direct += float(np.dot(rej, rej))
@@ -188,28 +187,24 @@ ORACLE_INSTANCES = ["k4", "k20", "uc60", "uc200"]
 
 
 class TestDenseOracle:
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_form_equals_block_assembly(self, weighted):
+    def test_form_equals_block_assembly(self):
         g = oracle_instance("uc60")
-        w = np.random.default_rng(3).uniform(0.1, 2.0, g.num_edges) if weighted else None
         verts = g.active_vertices()
-        assert np.array_equal(_assemble(g, verts, w), dense_form(g, verts, w))
+        assert np.array_equal(_assemble(g, verts), dense_form(g, verts))
 
-    @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("name", ORACLE_INSTANCES)
-    def test_spectral_matches_dense(self, name, weighted):
+    def test_spectral_matches_dense(self, name):
         g = oracle_instance(name)
-        w = np.random.default_rng(4).uniform(0.1, 2.0, g.num_edges) if weighted else None
-        verts, t, res = _solve_weighted(g, w)
-        verts_o, t_o, res_o = dense_solve_weighted(g, w)
+        verts, t, res = _solve_spectral(g)
+        verts_o, t_o, res_o = dense_solve_spectral(g)
         assert np.array_equal(verts, verts_o)
         # the eigenvector sign is arbitrary on both paths
         sign = 1.0 if np.sum(t * t_o) >= 0.0 else -1.0
         assert np.abs(sign * t - t_o).max() <= 1e-12
         assert np.abs(res - res_o).max() <= 1e-12
 
-        evals, _ = _lowest_eigenpairs(g, verts, w)
-        evals_o, _ = dense_lowest_eigenpairs(g, verts, w)
+        evals, _ = _lowest_eigenpairs(g, verts)
+        evals_o, _ = dense_lowest_eigenpairs(g, verts)
         gap, gap_o = evals[1] - evals[0], evals_o[1] - evals_o[0]
         assert abs(gap - gap_o) <= 1e-9 * gap_o
 
@@ -238,13 +233,13 @@ class TestDenseOracle:
             with pytest.raises(DegenerateInstanceError):
                 solve(g)
         with pytest.raises(DegenerateInstanceError):
-            dense_solve_weighted(g, None)
+            dense_solve_spectral(g)
 
 
 class TestFailedFactorization:
     def test_indefinite_spectral_form(self, monkeypatch):
         g = oracle_instance("k4")
-        monkeypatch.setattr(solvers, "_assemble", lambda g, verts, w: -1e3 * np.eye(3 * verts.size))
+        monkeypatch.setattr(solvers, "_assemble", lambda g, verts: -1e3 * np.eye(3 * verts.size))
         with pytest.raises(DegenerateInstanceError, match="not positive definite"):
             solve_ls_spectral(g)
 
@@ -264,7 +259,7 @@ class TestFailedFactorization:
     def test_cli_reports_one_line(self, monkeypatch, tmp_path, capsys):
         edges = tmp_path / "edges.txt"
         write_edge_list(oracle_instance("k4"), str(edges))
-        monkeypatch.setattr(solvers, "_assemble", lambda g, verts, w: -1e3 * np.eye(3 * verts.size))
+        monkeypatch.setattr(solvers, "_assemble", lambda g, verts: -1e3 * np.eye(3 * verts.size))
         out = tmp_path / "estimate.txt"
         code = main(["solve", "--edges", str(edges), "--solver", "ls", "--out", str(out)])
         err = capsys.readouterr().err

@@ -15,7 +15,6 @@ from aabscreen.sphere import (
     aab_oracle_batch,
     great_circle_distance,
     great_circle_distance_batch,
-    sample_uniform_sphere,
     sample_uniform_sphere_batch,
 )
 from aabscreen.streams import derive_rng
@@ -71,14 +70,13 @@ class TestGreatCircleDistance:
 
 class TestUniformSphere:
     def test_unit_norm(self):
-        stream = derive_rng(7, 0)
-        for _ in range(50):
-            v = sample_uniform_sphere(stream)
-            assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+        v = sample_uniform_sphere_batch(derive_rng(7, 0), 50)
+        assert v.shape == (50, 3)
+        assert np.abs(np.linalg.norm(v, axis=1) - 1.0).max() <= 1e-12
 
     def test_deterministic(self):
-        a = sample_uniform_sphere(derive_rng(11, 0))
-        b = sample_uniform_sphere(derive_rng(11, 0))
+        a = sample_uniform_sphere_batch(derive_rng(11, 0), 5)
+        b = sample_uniform_sphere_batch(derive_rng(11, 0), 5)
         assert np.array_equal(a, b)
 
     def test_mean_near_zero(self):

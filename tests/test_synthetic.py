@@ -92,10 +92,10 @@ class TestGenerate:
         dense, gt_d = generate_uc(UCParams(n=40, p=0.7, q=0.3, sigma=0.05, seed=21))
         shared = set(sparse.edges()) & set(dense.edges())
         assert shared == set(sparse.edges())  # u < 0.3 implies u < 0.7
-        for e in shared:
-            assert np.array_equal(sparse.direction(*e), dense.direction(*e))
-            flag_s = gt_s.corrupted_flags[sparse.edge_row(*e)]
-            assert flag_s == gt_d.corrupted_flags[dense.edge_row(*e)]
+        i, j = sparse.edge_array.T
+        rows = dense.edge_rows_of_pairs(i, j)
+        assert np.array_equal(sparse.direction_array, dense.direction_array[rows])
+        assert np.array_equal(gt_s.corrupted_flags, gt_d.corrupted_flags[rows])
 
     def test_corrupted_directions_uniform_on_sphere(self):
         # Archimedes: the z-component of a uniform point on S2 is U[-1, 1].
