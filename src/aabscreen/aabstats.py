@@ -9,6 +9,10 @@ fixed number of rounds replaces the plain average with a weighted one, the
 weight of triangle k decaying exponentially in the larger of the current
 statistics of edges {k, i} and {j, k}.  The decay rate increases each round,
 so triangles through currently-suspicious edges lose influence first.
+
+Draws often repeat a triangle on sparse graphs, so the cache holds each
+distinct sampled triangle once with the number of draws that picked it, and
+both statistics weight it by that multiplicity.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ __all__ = [
 # Retries per degenerate sampled triangle before it is dropped from the mean.
 _MAX_RESAMPLE_ROUNDS = 8
 
-# Triangles per block of geometry: bounds the transient (rows, 3) arrays.
+# Draws per block of sampling and geometry (at least one edge's s draws):
+# bounds the transient per-draw and per-triangle arrays.
 _BLOCK_ROWS = 1 << 16
 
 
@@ -54,10 +59,13 @@ class AABConfig:
 
 @dataclass
 class TripleCache:
-    """Flat record of every retained sampled triangle.
+    """Flat record of the distinct retained sampled triangles.
 
-    Arrays are parallel; ``edge_rows``/``rows_jk``/``rows_ki`` index the
-    graph's canonical edge arrays.
+    One row per distinct (edge, common neighbour k) that a retained draw
+    picked; ``multiplicity`` counts those draws, so an edge's
+    multiplicities sum to s less its dropped draws.  Arrays are parallel;
+    ``edge_rows``/``rows_jk``/``rows_ki`` index the graph's canonical edge
+    arrays.  Rows are ordered by edge row, then by k.
     """
 
     edge_rows: np.ndarray
@@ -65,6 +73,7 @@ class TripleCache:
     rows_jk: np.ndarray
     rows_ki: np.ndarray
     inconsistencies: np.ndarray
+    multiplicity: np.ndarray
 
 
 @dataclass
@@ -86,8 +95,9 @@ class EdgeStatistics:
     order of a ``ViewGraph``.  ``value`` is NaN on unsupported edges, those
     without a single usable triangle.  ``per_iteration`` (reweighted
     statistic only) stacks the values after each round, row 0 being the
-    plain average.  ``cache`` carries the sampled triangles and their
-    inconsistencies so reweighting never re-evaluates geometry.
+    plain average.  ``cache`` carries the distinct sampled triangles, their
+    multiplicities and inconsistencies, so reweighting never re-evaluates
+    geometry.
     """
 
     edge_array: np.ndarray
@@ -113,86 +123,107 @@ class EdgeStatistics:
         return set(edge_tuples(self.edge_array[np.isnan(self.value)]))
 
 
-def _blocks(size: int):
-    return (slice(lo, lo + _BLOCK_ROWS) for lo in range(0, size, _BLOCK_ROWS))
-
-
-def _pick_neighbors(g: ViewGraph, seed: int, rows, draws) -> np.ndarray:
-    """Common neighbour of edge ``rows`` chosen by draw index ``draws``.
+def _draw_positions(g: ViewGraph, seed: int, rows, draws) -> np.ndarray:
+    """Position in ``g.common_neighbor_csr`` of the common neighbour of edge
+    ``rows`` chosen by draw index ``draws``.
 
     Both broadcast; every draw is keyed by (seed, canonical edge, index).
+    A position names one (edge, common neighbour) pair.
     """
-    indptr, indices = g.common_neighbor_csr
+    indptr, _ = g.common_neighbor_csr
     ends = g.edge_array[rows]
     h = edge_hash(seed, TAG_TRIPLES, ends[..., 0], ends[..., 1], draws)
     start = indptr[rows]
-    return indices[start + bounded_index(h, indptr[rows + 1] - start)]
+    return start + bounded_index(h, indptr[rows + 1] - start)
 
 
-def _degenerate(g: ViewGraph, rows_jk: np.ndarray, rows_ki: np.ndarray) -> np.ndarray:
+def _triangles(g: ViewGraph, pos: np.ndarray):
+    """Edge row, neighbour k, row of {j, k} and row of {k, i} of the
+    triangles at CSR positions ``pos``."""
+    indptr, indices = g.common_neighbor_csr
+    edge_rows = np.searchsorted(indptr, pos, side="right") - 1
+    k = indices[pos]
+    rows_jk = g.edge_rows_of_pairs(g.edge_array[edge_rows, 1], k)
+    rows_ki = g.edge_rows_of_pairs(k, g.edge_array[edge_rows, 0])
+    return edge_rows, k, rows_jk, rows_ki
+
+
+def _degenerate(g: ViewGraph, tri) -> np.ndarray:
     # the test depends on the squared dot product only, so orientation is moot
+    _, _, rows_jk, rows_ki = tri
     d = g.direction_array
-    out = np.empty(rows_jk.size, dtype=bool)
-    for sl in _blocks(out.size):
-        out[sl] = degenerate_base_mask(d[rows_jk[sl]], d[rows_ki[sl]])
-    return out
+    return degenerate_base_mask(d[rows_jk], d[rows_ki])
 
 
-def _build_cache(g: ViewGraph, cfg: AABConfig) -> TripleCache:
-    """Sample triangles, redraw degenerate ones, evaluate inconsistencies.
+def _sample_block(g: ViewGraph, cfg: AABConfig, rows: np.ndarray):
+    """Distinct retained triangles of the supported edge ``rows`` and the
+    number of retained draws of each.
 
     Sample ``slot`` of an edge uses draw index ``slot`` and, in redraw round
-    r, draw index ``s * r + slot``.
+    r, draw index ``s * r + slot``.  Whether a triangle is degenerate
+    depends on (edge, k) alone, so the first draws are tested once per
+    distinct position, and only redrawn draws again.  ``rows`` are
+    increasing and consecutive among the supported edges, so their common
+    neighbours fill one CSR slice; counts and marks span that slice only.
     """
     indptr, _ = g.common_neighbor_csr
-    supported = np.flatnonzero(np.diff(indptr))
-    edge_rows = np.repeat(supported, cfg.s)
-    neighbors = _pick_neighbors(g, cfg.seed, supported[:, None], np.arange(cfg.s)).reshape(-1)
-    i_arr = g.edge_array[edge_rows, 0]
-    j_arr = g.edge_array[edge_rows, 1]
-    rows_jk = g.edge_rows_of_pairs(j_arr, neighbors)
-    rows_ki = g.edge_rows_of_pairs(neighbors, i_arr)
+    lo = indptr[rows[0]]
+    size = indptr[rows[-1] + 1] - lo
+    pos = (_draw_positions(g, cfg.seed, rows[:, None], np.arange(cfg.s)) - lo).reshape(-1)
+    counts = np.bincount(pos, minlength=size)
+    seen = np.flatnonzero(counts)
+    tri = _triangles(g, seen + lo)
+    degenerate = _degenerate(g, tri)
+    if not degenerate.any():
+        return tri, counts[seen]
 
-    bad = np.flatnonzero(_degenerate(g, rows_jk, rows_ki))
+    bad_at = np.zeros(size, dtype=bool)
+    bad_at[seen] = degenerate
+    bad = np.flatnonzero(bad_at[pos])
     for rnd in range(1, _MAX_RESAMPLE_ROUNDS + 1):
         if bad.size == 0:
             break
-        k = _pick_neighbors(g, cfg.seed, edge_rows[bad], cfg.s * rnd + bad % cfg.s)
-        neighbors[bad] = k
-        rows_jk[bad] = g.edge_rows_of_pairs(j_arr[bad], k)
-        rows_ki[bad] = g.edge_rows_of_pairs(k, i_arr[bad])
-        bad = bad[_degenerate(g, rows_jk[bad], rows_ki[bad])]
-    if bad.size:
-        keep = np.ones(edge_rows.size, dtype=bool)
-        keep[bad] = False
-        edge_rows, neighbors, rows_jk, rows_ki, i_arr, j_arr = (
-            a[keep] for a in (edge_rows, neighbors, rows_jk, rows_ki, i_arr, j_arr)
-        )
+        draws = cfg.s * rnd + bad % cfg.s
+        pos[bad] = _draw_positions(g, cfg.seed, rows[bad // cfg.s], draws) - lo
+        bad_at[pos[bad]] = _degenerate(g, _triangles(g, pos[bad] + lo))
+        bad = bad[bad_at[pos[bad]]]
+    # every draw still on a degenerate triangle is dropped
+    counts = np.bincount(pos, minlength=size)
+    counts[bad_at] = 0
+    seen = np.flatnonzero(counts)
+    return _triangles(g, seen + lo), counts[seen]
 
-    inc = np.empty(edge_rows.size)
+
+def _build_cache(g: ViewGraph, cfg: AABConfig) -> TripleCache:
+    """Sample triangles, redraw degenerate ones, evaluate each distinct
+    retained triangle once."""
+    indptr, _ = g.common_neighbor_csr
+    supported = np.flatnonzero(np.diff(indptr))
+    per_block = max(1, _BLOCK_ROWS // cfg.s)
     d = g.direction_array
-    for sl in _blocks(inc.size):
-        k = neighbors[sl]
-        inc[sl] = aab_inconsistency_batch(
-            d[edge_rows[sl]],
-            g.directions_of_rows(rows_jk[sl], j_arr[sl], k),
-            g.directions_of_rows(rows_ki[sl], k, i_arr[sl]),
+    parts = []
+    for b in range(0, supported.size, per_block):
+        tri, mult = _sample_block(g, cfg, supported[b : b + per_block])
+        edge_rows, k, rows_jk, rows_ki = tri
+        i_arr, j_arr = g.edge_array[edge_rows].T
+        inc = aab_inconsistency_batch(
+            d[edge_rows],
+            g.directions_of_rows(rows_jk, j_arr, k),
+            g.directions_of_rows(rows_ki, k, i_arr),
         )
-
-    return TripleCache(
-        edge_rows=edge_rows,
-        neighbors=neighbors,
-        rows_jk=rows_jk,
-        rows_ki=rows_ki,
-        inconsistencies=inc,
-    )
+        parts.append((edge_rows, k, rows_jk, rows_ki, inc, mult))
+    # the empty arrays fix the dtypes when no edge is supported
+    empty = (np.zeros(0, np.intp),) * 4 + (np.zeros(0), np.zeros(0, np.intp))
+    return TripleCache(*(np.concatenate(a) for a in zip(empty, *parts)))
 
 
 def _segment_mean(cache: TripleCache, num_edges: int) -> np.ndarray:
-    """Plain average per edge row; NaN on edges without common neighbours
-    or whose every sample stayed degenerate."""
-    counts = np.bincount(cache.edge_rows, minlength=num_edges)
-    sums = np.bincount(cache.edge_rows, weights=cache.inconsistencies, minlength=num_edges)
+    """Average per edge row over the retained draws; NaN on edges without
+    common neighbours or whose every sample stayed degenerate."""
+    counts = np.bincount(cache.edge_rows, weights=cache.multiplicity, minlength=num_edges)
+    sums = np.bincount(
+        cache.edge_rows, weights=cache.multiplicity * cache.inconsistencies, minlength=num_edges
+    )
     return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
 
 
@@ -214,9 +245,12 @@ def ir_aab(g: ViewGraph, cfg: AABConfig, keep_weight_sums: bool = False) -> Edge
     Runs the naive stage once (same seed, same samples), then performs
     cfg.T synchronous reweighting rounds over the cached inconsistencies.
     Round t uses rate tau = pi / M_t where M_t descends linearly from the
-    largest cached inconsistency toward the smallest.  Lookups of a
-    neighboring edge's previous statistic fall back to the median supported
-    statistic when that edge is unsupported.
+    largest cached inconsistency toward the smallest.  A triangle's weight
+    is its multiplicity times exp(-tau * worst), worst being the larger
+    previous statistic of its two other edges; each edge's weights are
+    normalized to sum to one.  Lookups of a neighboring edge's previous
+    statistic fall back to the median supported statistic when that edge
+    is unsupported.
 
     If every cached inconsistency is zero the naive (all-zero) statistic is
     returned unchanged, avoiding a division by zero in the rate.
@@ -246,6 +280,10 @@ def ir_aab(g: ViewGraph, cfg: AABConfig, keep_weight_sums: bool = False) -> Edge
     supported_mask = ~np.isnan(vals)
     per_iter = np.empty((cfg.T + 1, m_edges))
     per_iter[0] = vals
+    # cache rows come grouped by edge: group starts and sizes for the
+    # per-edge minimum
+    starts = np.flatnonzero(np.diff(cache.edge_rows, prepend=-1))
+    sizes = np.diff(starts, append=cache.edge_rows.size)
 
     current = big
     for t in range(1, cfg.T + 1):
@@ -256,8 +294,11 @@ def ir_aab(g: ViewGraph, cfg: AABConfig, keep_weight_sums: bool = False) -> Edge
         lookup = vals.copy()
         if not supported_mask.all():
             lookup[~supported_mask] = np.median(vals[supported_mask])
-        worst = np.maximum(lookup[cache.rows_ki], lookup[cache.rows_jk])
-        w = np.exp(-tau * worst)
+        # shifted by the edge's smallest exponent: that row keeps weight
+        # mult >= 1, so an edge's weights never all underflow
+        z = tau * np.maximum(lookup[cache.rows_ki], lookup[cache.rows_jk])
+        z -= np.repeat(np.minimum.reduceat(z, starts), sizes)
+        w = cache.multiplicity * np.exp(-z)
         sums = np.bincount(cache.edge_rows, weights=w, minlength=m_edges)
         wn = w / sums[cache.edge_rows]
         if keep_weight_sums:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,13 +12,14 @@ import pytest
 from scipy.stats import chi2
 
 from aabscreen import aabstats
-from aabscreen.aabstats import AABConfig, ir_aab, naive_aab
+from aabscreen.aabstats import AABConfig, TripleCache, ir_aab, naive_aab
 from aabscreen.graph import ViewGraph
 from aabscreen.sphere import aab_inconsistency_batch, degenerate_base_mask
 from aabscreen.streams import TAG_TRIPLES, edge_rng
 from aabscreen.synthetic import UCParams, generate_uc
 
-from conftest import complete_graph_from_locations, random_rotation
+import per_draw_cache
+from conftest import complete_graph_from_locations, random_rotation, unit
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -35,9 +38,22 @@ def exact_zero_triangle_plus_noise() -> ViewGraph:
     return ViewGraph(4, [(i, j, v) for (i, j), v in dirs.items()])
 
 
+def mostly_degenerate_edge() -> ViewGraph:
+    """Edge {0, 1} with common neighbours 2..6: the triangles through 2..5
+    have parallel base pairs and the one through 6 does not, so most of the
+    edge's draws are redrawn, onto 6 or again onto a degenerate triangle,
+    and some are dropped after the last round."""
+    edges = [(0, 1, np.array([1.0, 0.0, 0.0]))]
+    edges += [(k, v, EZ) for k in range(2, 6) for v in (0, 1)]
+    edges += [(6, 0, np.array([0.0, 1.0, 0.0])), (6, 1, unit([1.0, 1.0, 0.0]))]
+    return ViewGraph(7, edges)
+
+
 def picks_of(stats, g, edge) -> np.ndarray:
-    """Cached common-neighbour picks of one edge, in draw order."""
-    return stats.cache.neighbors[stats.cache.edge_rows == g.edge_rows_of_pairs(*edge)]
+    """Common-neighbour picks of one edge's retained draws, sorted."""
+    cache = stats.cache
+    mask = cache.edge_rows == g.edge_rows_of_pairs(*edge)
+    return np.repeat(cache.neighbors[mask], cache.multiplicity[mask])
 
 
 def pcg64_inconsistencies(g: ViewGraph, cfg: AABConfig) -> dict[int, np.ndarray]:
@@ -74,6 +90,12 @@ def pcg64_inconsistencies(g: ViewGraph, cfg: AABConfig) -> dict[int, np.ndarray]
                 g.directions_of_pairs(picks[keep], ii[keep]),
             )
     return out
+
+
+def expanded_inconsistencies(cache, row) -> np.ndarray:
+    """Cached inconsistencies of edge ``row``, one per retained draw."""
+    mask = cache.edge_rows == row
+    return np.repeat(cache.inconsistencies[mask], cache.multiplicity[mask])
 
 
 def mean_statistic(per_edge: dict[int, np.ndarray]) -> tuple[float, float]:
@@ -128,12 +150,12 @@ class TestNaive:
         assert np.all((vals >= 0) & (vals <= math.pi))
 
     def test_cost_scaling(self):
-        # one cached inconsistency per sample: s per supported edge
+        # every sample retained: s draws per supported edge
         g, _ = generate_uc(UCParams(n=30, p=0.6, q=0.3, sigma=0.0, seed=9))
         cfg = AABConfig(s=13, seed=2)
         stats = naive_aab(g, cfg)
         supported = int((~np.isnan(stats.value)).sum())
-        assert stats.cache.inconsistencies.size == cfg.s * supported
+        assert stats.cache.multiplicity.sum() == cfg.s * supported
 
     def test_deterministic(self):
         g, _ = generate_uc(UCParams(n=30, p=0.5, q=0.3, sigma=0.05, seed=10))
@@ -163,10 +185,12 @@ class TestTrianglePicks:
             ],
         )
         stats = naive_aab(g, AABConfig(s=50, seed=42))
-        picks = picks_of(stats, g, (0, 1))
-        assert not np.isnan(stats.value[g.edge_rows_of_pairs(0, 1)])
-        assert picks.shape == (50,)
-        assert np.all(picks == 2)
+        row = g.edge_rows_of_pairs(0, 1)
+        assert not np.isnan(stats.value[row])
+        cache = stats.cache
+        mask = cache.edge_rows == row
+        assert cache.neighbors[mask].tolist() == [2]
+        assert cache.multiplicity[mask].tolist() == [50]
 
     def test_no_triangles_flagged(self):
         g = ViewGraph(3, [(0, 1, EZ), (1, 2, EZ)])
@@ -210,12 +234,13 @@ class TestTrianglePicks:
         g = complete_graph_from_locations(rng.normal(size=(9, 3)))
         s = 3000
         cache = naive_aab(g, AABConfig(s=s, seed=123)).cache
-        assert cache.neighbors.size == 36 * s
+        assert cache.multiplicity.sum() == 36 * s
         total = 0.0
         for row, (i, j) in enumerate(g.edges()):
-            picks = cache.neighbors[cache.edge_rows == row]
+            mask = cache.edge_rows == row
+            picks, mult = cache.neighbors[mask], cache.multiplicity[mask]
             cands = g.common_neighbors(i, j)
-            observed = np.array([(picks == k).sum() for k in cands])
+            observed = np.array([mult[picks == k].sum() for k in cands])
             assert observed.sum() == s
             stat = float(((observed - s / 7) ** 2 / (s / 7)).sum())
             assert stat < chi2.isf(1e-6 / 36, 6)
@@ -247,7 +272,7 @@ class TestTrianglePicks:
             cfg = AABConfig(s=50, seed=seed)
             cache = naive_aab(g, cfg).cache
             rows = np.unique(cache.edge_rows)
-            m, v = mean_statistic({r: cache.inconsistencies[cache.edge_rows == r] for r in rows})
+            m, v = mean_statistic({r: expanded_inconsistencies(cache, r) for r in rows})
             new_mean += m / len(seeds)
             new_var += v / len(seeds) ** 2
             m, v = mean_statistic(pcg64_inconsistencies(g, cfg))
@@ -256,20 +281,34 @@ class TestTrianglePicks:
         assert abs(new_mean - old_mean) <= 4.0 * math.sqrt(new_var + old_var)
 
     def test_geometry_blocks_do_not_change_values(self, monkeypatch):
-        g, _ = generate_uc(UCParams(n=30, p=0.5, q=0.3, sigma=0.05, seed=5))
-        cfg = AABConfig(s=10, seed=5)
-        whole = naive_aab(g, cfg).cache
+        # a block of 7 draws holds one edge's s draws: every edge is sampled,
+        # redrawn and evaluated on its own, and the cache and both
+        # statistics stay bit-identical
+        uc, _ = generate_uc(UCParams(n=30, p=0.5, q=0.3, sigma=0.05, seed=5))
+        cases = [
+            (uc, AABConfig(s=10, seed=5)),
+            (mostly_degenerate_edge(), AABConfig(s=20, seed=5)),
+        ]
+        whole = [(naive_aab(g, cfg), ir_aab(g, cfg)) for g, cfg in cases]
         monkeypatch.setattr(aabstats, "_BLOCK_ROWS", 7)
-        blocked = naive_aab(g, cfg).cache
-        assert np.array_equal(blocked.neighbors, whole.neighbors)
-        assert np.array_equal(blocked.inconsistencies, whole.inconsistencies)
-        i = g.edge_array[whole.edge_rows, 0]
-        j = g.edge_array[whole.edge_rows, 1]
-        k = whole.neighbors
+        for (g, cfg), (naive, ir) in zip(cases, whole):
+            blocked_naive, blocked_ir = naive_aab(g, cfg), ir_aab(g, cfg)
+            for f in fields(TripleCache):
+                a = getattr(blocked_naive.cache, f.name)
+                assert np.array_equal(a, getattr(naive.cache, f.name))
+                assert np.array_equal(getattr(blocked_ir.cache, f.name), a)
+            assert np.array_equal(blocked_naive.value, naive.value, equal_nan=True)
+            assert np.array_equal(blocked_ir.per_iteration, ir.per_iteration, equal_nan=True)
+
+        cache = whole[0][0].cache
+        rows = np.repeat(cache.edge_rows, cache.multiplicity)
+        i = uc.edge_array[rows, 0]
+        j = uc.edge_array[rows, 1]
+        k = np.repeat(cache.neighbors, cache.multiplicity)
         direct = aab_inconsistency_batch(
-            g.directions_of_pairs(i, j), g.directions_of_pairs(j, k), g.directions_of_pairs(k, i)
+            uc.directions_of_pairs(i, j), uc.directions_of_pairs(j, k), uc.directions_of_pairs(k, i)
         )
-        assert np.array_equal(whole.inconsistencies, direct)
+        assert np.array_equal(np.repeat(cache.inconsistencies, cache.multiplicity), direct)
 
 
 class TestIrAab:
@@ -375,6 +414,23 @@ class TestIrAab:
         assert np.array_equal(a.value, b.value, equal_nan=True)
         assert np.array_equal(a.per_iteration, b.per_iteration, equal_nan=True)
 
+    def test_long_schedule_keeps_every_supported_edge(self):
+        # the last rate is about pi * T / (M + (T - 1) m): at T = 3000 every
+        # raw weight exp(-tau * worst) of some edges underflows to zero, and
+        # without a per-edge shift of the exponent 87 of the 364 supported
+        # edges came out NaN
+        g, _ = generate_uc(UCParams(n=40, p=0.5, q=0.4, sigma=0.05, seed=1))
+        ir = ir_aab(g, AABConfig(s=20, T=3000, seed=1))
+        cache = ir.cache
+        supported = ~np.isnan(ir.per_iteration[0])
+        assert not np.isnan(ir.per_iteration[:, supported]).any()
+        lo = np.full(g.num_edges, np.inf)
+        hi = np.full(g.num_edges, -np.inf)
+        np.minimum.at(lo, cache.edge_rows, cache.inconsistencies)
+        np.maximum.at(hi, cache.edge_rows, cache.inconsistencies)
+        vals = ir.per_iteration[:, supported]
+        assert np.all((lo[supported] - 1e-12 <= vals) & (vals <= hi[supported] + 1e-12))
+
 
 class TestRotationInvariance:
     @pytest.mark.parametrize("stat", [naive_aab, ir_aab], ids=["naive", "ir"])
@@ -399,3 +455,127 @@ class TestRotationInvariance:
             a, b = stat(g, cfg).value, stat(rotated, cfg).value
             assert np.array_equal(np.isnan(a), np.isnan(b))
             assert np.nanmax(np.abs(a - b)) <= bound
+
+
+def oracle_case(name: str) -> tuple[ViewGraph, AABConfig]:
+    if name == "uc-dense":
+        g, _ = generate_uc(UCParams(n=40, p=0.5, q=0.3, sigma=0.05, seed=1))
+        return g, AABConfig(s=30, seed=1)
+    if name == "uc-sparse":
+        # about 2 common neighbours per edge: most draws repeat a triangle
+        g, _ = generate_uc(UCParams(n=80, p=0.15, q=0.2, sigma=0.05, seed=2))
+        return g, AABConfig(seed=2)
+    if name == "exact-zero":
+        # edge (0, 2) is redrawn for every round, then dropped
+        return exact_zero_triangle_plus_noise(), AABConfig(s=10, seed=0)
+    if name == "k9":
+        points = np.random.default_rng(20240601).normal(size=(9, 3))
+        return complete_graph_from_locations(points), AABConfig(s=3000, seed=123)
+    s, seed = (int(x) for x in name.removeprefix("mostly-degenerate-s").split("-"))
+    return mostly_degenerate_edge(), AABConfig(s=s, seed=seed)
+
+
+MOSTLY_DEGENERATE = [f"mostly-degenerate-s{s}-{seed}" for s in (2, 20) for seed in range(4)]
+ORACLE_CASES = ["uc-dense", "uc-sparse", "exact-zero", "k9", *MOSTLY_DEGENERATE]
+
+
+class TestPerDrawOracle:
+    """The distinct-triangle cache against the per-draw sampler it replaced
+    (``per_draw_cache``): the same multiset of draws, and the same
+    statistics up to the order of floating-point sums."""
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_expanded_cache_is_the_per_draw_cache(self, name):
+        g, cfg = oracle_case(name)
+        cache = naive_aab(g, cfg).cache
+        ref = per_draw_cache.build_cache(g, cfg)
+        assert np.all(cache.multiplicity >= 1)
+        # one row per distinct (edge, k), ordered by edge and then k
+        key = cache.edge_rows * g.n + cache.neighbors
+        assert np.all(np.diff(key) > 0)
+        order = np.lexsort((ref.neighbors, ref.edge_rows))
+        for f in ("edge_rows", "neighbors", "rows_jk", "rows_ki", "inconsistencies"):
+            expanded = np.repeat(getattr(cache, f), cache.multiplicity)
+            assert np.array_equal(expanded, getattr(ref, f)[order])
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_statistics_match_per_draw_statistics(self, name):
+        g, cfg = oracle_case(name)
+        expected = per_draw_cache.ir_per_iteration(
+            per_draw_cache.build_cache(g, cfg), g.num_edges, cfg.T
+        )
+        for got, want in (
+            (naive_aab(g, cfg).value, expected[0]),
+            (ir_aab(g, cfg).per_iteration, expected),
+        ):
+            assert got.shape == want.shape
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            ok = ~np.isnan(want)
+            assert np.all(np.abs(got[ok] - want[ok]) <= 1e-13 * np.abs(want[ok]))
+
+    def test_redraws_reach_unpicked_triangles_and_drop(self):
+        # the mostly-degenerate cases exercise what the comparisons above
+        # need: a redraw landing on a triangle no first draw of its edge
+        # picked, and an edge keeping only part of its draws
+        unpicked = partial = False
+        for name in MOSTLY_DEGENERATE:
+            g, cfg = oracle_case(name)
+            row = g.edge_rows_of_pairs(0, 1)
+            first = per_draw_cache.pick_neighbors(g, cfg.seed, row, np.arange(cfg.s))
+            cache = naive_aab(g, cfg).cache
+            mask = cache.edge_rows == row
+            unpicked |= 6 not in first and 6 in cache.neighbors[mask]
+            partial |= 0 < cache.multiplicity[mask].sum() < cfg.s
+        assert unpicked and partial
+
+
+class TestExactStatistic:
+    def test_sampled_mean_approaches_the_all_neighbour_statistic(self):
+        """Averaged over seeds, the sampled naive statistic of each edge is
+        the mean of N = s * seeds independent uniform draws from the edge's
+        triangles (no triangle of this instance is degenerate, so none is
+        dropped), whose exact mean and central moments come from the
+        all-neighbour cache.  With Y_e the standardized error of edge e,
+        E[Y_e^2] = 1 and Var[Y_e^2] = 2 + (kurtosis_e - 3) / N exactly, so
+        the sum of Y_e^2 over the edges must lie within 5 of its standard
+        deviations of the edge count (normal approximation over edges)."""
+        g, _ = generate_uc(UCParams(n=60, p=0.5, q=0.2, sigma=0.05, seed=4))
+        exact = per_draw_cache.all_neighbor_cache(g)
+        assert exact.edge_rows.size == g.common_neighbor_csr[1].size
+        m = g.num_edges
+        rows, inc = exact.edge_rows, exact.inconsistencies
+        count = np.bincount(rows, minlength=m)
+        mu = per_draw_cache.segment_mean(exact, m)
+        dev = inc - mu[rows]
+        var = np.bincount(rows, weights=dev**2, minlength=m) / np.maximum(count, 1)
+        mu4 = np.bincount(rows, weights=dev**4, minlength=m) / np.maximum(count, 1)
+
+        s, seeds = 50, range(8)
+        n_draws = s * len(seeds)
+        runs = [naive_aab(g, AABConfig(s=s, seed=seed)).value for seed in seeds]
+        sampled = np.mean(runs, axis=0)
+        assert np.array_equal(np.isnan(sampled), count == 0)
+
+        flat = (count > 0) & (var <= 1e-24)
+        assert np.abs(sampled[flat] - mu[flat]).max(initial=0.0) <= 1e-12
+        spread = (count > 0) & ~flat
+        y2 = (sampled[spread] - mu[spread]) ** 2 / (var[spread] / n_draws)
+        var_y2 = 2.0 + (mu4[spread] / var[spread] ** 2 - 3.0) / n_draws
+        assert abs(y2.sum() - y2.size) <= 5.0 * math.sqrt(var_y2.sum())
+
+
+class TestMemory:
+    def test_naive_peak_stays_below_8_bytes_per_draw(self):
+        # 1.75M draws: sampled in blocks, no array holds one entry per draw
+        # of the whole run, so the peak stays below one int64 per draw
+        g, _ = generate_uc(UCParams(n=60, p=0.5, q=0.2, sigma=0.05, seed=3))
+        cfg = AABConfig(s=2000)
+        g.common_neighbor_csr
+        tracemalloc.start()
+        try:
+            stats = naive_aab(g, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        draws = cfg.s * int((~np.isnan(stats.value)).sum())
+        assert peak < 8 * draws
