@@ -48,10 +48,6 @@ class FileFormatError(ValueError):
     """Malformed input file; the message carries path and line number."""
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def _atomic_write(path: str, lines: Iterable[str]) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
@@ -114,8 +110,10 @@ def write_edge_list(g: ViewGraph, path: str, metadata: Mapping[str, object] | No
     """Write "i j gx gy gz" lines in canonical order."""
     lines = [f"{_EDGE_HEADER} n={g.n}"]
     lines += _metadata_lines(metadata)
-    for (i, j), d in zip(g.edge_array, g.direction_array):
-        lines.append(f"{i} {j} {_fmt(d[0])} {_fmt(d[1])} {_fmt(d[2])}")
+    lines += [
+        "%d %d %.17g %.17g %.17g" % (i, j, x, y, z)
+        for (i, j), (x, y, z) in zip(g.edge_array.tolist(), g.direction_array.tolist())
+    ]
     _atomic_write(path, lines)
 
 
@@ -186,9 +184,9 @@ def write_locations(
 ) -> None:
     lines = [f"{_LOC_HEADER} n={n}"]
     lines += _metadata_lines(metadata)
-    for v in sorted(locations):
-        t = locations[v]
-        lines.append(f"{v} {_fmt(t[0])} {_fmt(t[1])} {_fmt(t[2])}")
+    verts = sorted(locations)
+    coords = np.array([locations[v] for v in verts], dtype=np.float64).reshape(-1, 3)
+    lines += ["%d %.17g %.17g %.17g" % (v, x, y, z) for v, (x, y, z) in zip(verts, coords.tolist())]
     _atomic_write(path, lines)
 
 
@@ -221,10 +219,10 @@ def parse_locations(path: str) -> tuple[dict[int, np.ndarray], int]:
 def _parse_edge_table(path: str, header: str, columns: str, flag_skips_value: bool):
     """Rows "i,j,value,flag" of a statistics or labels file, sorted by pair.
 
-    Checks the column count, the vertex range, uniqueness of the pair, the
-    0/1 flag and, unless the flag is set and ``flag_skips_value``, a finite
-    value.  Returns the (m, 2) pairs, the values (NaN where skipped) and the
-    flags.
+    Checks the column count, i < j, the vertex range, uniqueness of the
+    pair, the 0/1 flag and, unless the flag is set and ``flag_skips_value``,
+    a finite value.  Returns the (m, 2) pairs, the values (NaN where skipped)
+    and the flags.
     """
     rd = _Reader(path)
     n = rd.check_header(header)
@@ -241,7 +239,9 @@ def _parse_edge_table(path: str, header: str, columns: str, flag_skips_value: bo
             i, j, flag = int(parts[0]), int(parts[1]), int(parts[3])
         except ValueError:
             rd.fail(lineno, "could not parse row")
-        if not (0 <= i < n and 0 <= j < n):
+        if i >= j:
+            rd.fail(lineno, f"edge ({i}, {j}) violates i < j")
+        if not (0 <= i < n and j < n):
             rd.fail(lineno, f"vertex pair ({i}, {j}) out of range for n={n}")
         if (i, j) in seen:
             rd.fail(lineno, f"duplicate edge {(i, j)}")
@@ -275,8 +275,10 @@ def write_statistics(
     lines = [f"{_STAT_HEADER} n={g.n}"]
     lines += _metadata_lines(metadata)
     lines.append("i,j,statistic,unsupported")
-    for (i, j), v in zip(g.edge_array.tolist(), stats.value[rows].tolist()):
-        lines.append(f"{i},{j},nan,1" if math.isnan(v) else f"{i},{j},{_fmt(v)},0")
+    lines += [
+        "%d,%d,nan,1" % (i, j) if math.isnan(v) else "%d,%d,%.17g,0" % (i, j, v)
+        for (i, j), v in zip(g.edge_array.tolist(), stats.value[rows].tolist())
+    ]
     _atomic_write(path, lines)
 
 
@@ -296,9 +298,9 @@ def write_per_iteration(
     edges = stats.edge_array.tolist()
     rounds = [] if stats.per_iteration is None else stats.per_iteration.tolist()
     for t, vals in enumerate(rounds):
-        for (i, j), v in zip(edges, vals):
-            if not math.isnan(v):
-                lines.append(f"{t},{i},{j},{_fmt(v)}")
+        lines += [
+            "%d,%d,%d,%.17g" % (t, i, j, v) for (i, j), v in zip(edges, vals) if not math.isnan(v)
+        ]
     _atomic_write(path, lines)
 
 
@@ -322,8 +324,10 @@ def write_labels(
     lines.append("i,j,angle,corrupted")
     angle = labels.angle[rows].tolist()
     corrupted = labels.corrupted[rows].tolist()
-    for (i, j), a, c in zip(g.edge_array.tolist(), angle, corrupted):
-        lines.append(f"{i},{j},{_fmt(a)},{int(c)}")
+    lines += [
+        "%d,%d,%.17g,%d" % (i, j, a, c)
+        for (i, j), a, c in zip(g.edge_array.tolist(), angle, corrupted)
+    ]
     _atomic_write(path, lines)
 
 
@@ -342,9 +346,11 @@ def write_roc_csv(roc: RocCurve, path: str, metadata: Mapping[str, object] | Non
     lines = ["# aab-roc v1"]
     lines += _metadata_lines(metadata)
     lines.append("threshold,fpr,tpr")
-    for thr, fpr, tpr in zip(roc.thresholds, roc.fpr, roc.tpr):
-        lines.append(f"{_fmt(thr)},{_fmt(fpr)},{_fmt(tpr)}")
-    lines.append(f"# auc={'NA' if roc.auc is None else _fmt(roc.auc)}")
+    lines += [
+        "%.17g,%.17g,%.17g" % row
+        for row in zip(roc.thresholds.tolist(), roc.fpr.tolist(), roc.tpr.tolist())
+    ]
+    lines.append("# auc=NA" if roc.auc is None else "# auc=%.17g" % roc.auc)
     _atomic_write(path, lines)
 
 
@@ -354,11 +360,11 @@ def write_histogram_csv(
     lines = ["# aab-hist v1"]
     lines += _metadata_lines(metadata)
     lines.append("bin_left,bin_right,corrupted,uncorrupted")
-    for k in range(hist.corrupted.size):
-        lines.append(
-            f"{_fmt(hist.bin_edges[k])},{_fmt(hist.bin_edges[k + 1])},"
-            f"{int(hist.corrupted[k])},{int(hist.uncorrupted[k])}"
-        )
+    edges = hist.bin_edges.tolist()
+    lines += [
+        "%.17g,%.17g,%d,%d" % row
+        for row in zip(edges, edges[1:], hist.corrupted.tolist(), hist.uncorrupted.tolist())
+    ]
     _atomic_write(path, lines)
 
 

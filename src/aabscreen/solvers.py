@@ -34,10 +34,10 @@ alignment, whose scale is sign-free and absorbs the reflection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping
 
 import numpy as np
-import scipy.linalg
 
 from .graph import ViewGraph
 
@@ -128,19 +128,27 @@ def _assemble(g: ViewGraph, verts: np.ndarray) -> np.ndarray:
 
 
 def _cholesky(a: np.ndarray, what: str):
-    """Cholesky factor of the symmetric ``a``, computed in its own storage."""
+    """Cholesky-factor the symmetric ``a`` in its own storage; returns the
+    function b -> a^-1 b.
+
+    The one use of scipy: it is imported here, on the first factorization,
+    so that callers which only align or evaluate never pay its import.
+    """
+    import scipy.linalg
+
     try:
         # a.T is the Fortran-ordered view of the same symmetric matrix, so
         # LAPACK factors it in place instead of copying it first
-        return scipy.linalg.cho_factor(a.T, overwrite_a=True)
+        factor = scipy.linalg.cho_factor(a.T, overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise DegenerateInstanceError(f"{what} is not positive definite: {exc}") from None
+    return partial(scipy.linalg.cho_solve, factor, check_finite=False)
 
 
-def _top_inverse_pairs(factor, dim: int) -> np.ndarray:
+def _top_inverse_pairs(solve, dim: int) -> np.ndarray:
     """Eigenvectors of the two largest eigenvalues of the inverse of a
-    factored symmetric positive definite matrix, as the columns of a
-    (dim, 2) array.
+    symmetric positive definite matrix, given as the ``solve`` that
+    ``_cholesky`` returns, as the columns of a (dim, 2) array.
 
     Block Krylov iteration on the inverse from a fixed start block, with
     full reorthogonalization.  Every few steps a Rayleigh-Ritz projection
@@ -159,7 +167,7 @@ def _top_inverse_pairs(factor, dim: int) -> np.ndarray:
     step = 0
     while True:
         q = basis[:, k : k + block]
-        w = scipy.linalg.cho_solve(factor, q, check_finite=False)
+        w = solve(q)
         images[:, k : k + block] = w
         k += block
         step += 1
@@ -341,8 +349,7 @@ def solve_irls_lud(g: ViewGraph, max_iters: int = 100, delta: float = 1e-8) -> L
         rhs = np.bincount(rhs_index, weights=np.concatenate([contrib, -contrib]).ravel(), minlength=3 * n)
         mu = float(np.trace(lap)) / n + 1.0
         lap += mu / n
-        factor = _cholesky(lap, "weighted Laplacian")
-        t_new = scipy.linalg.cho_solve(factor, rhs.reshape(n, 3), check_finite=False)
+        t_new = _cholesky(lap, "weighted Laplacian")(rhs.reshape(n, 3))
         t_new = t_new - t_new.mean(axis=0)
 
         iterations += 1

@@ -170,7 +170,7 @@ def _arc_grid_points(g1: np.ndarray, g2: np.ndarray, idx: np.ndarray, steps: int
 
     ``g1``/``g2`` broadcast against ``idx``; index i maps to parameter
     u = i / (steps - 1).  Shared by the scan oracle and its fast batch
-    equivalent so both evaluate bit-identical grid points.
+    equivalent, so that both build the same point from the same vectors.
     """
     z = np.einsum("...i,...i->...", g1, g2)
     psi = np.arccos(np.clip(z, -1.0, 1.0))
@@ -213,14 +213,20 @@ def aab_inconsistency_oracle(
 
 
 def aab_oracle_batch(G3: np.ndarray, G1: np.ndarray, G2: np.ndarray, steps: int) -> np.ndarray:
-    """Grid minimum identical to ``aab_inconsistency_oracle``, rows at once.
+    """Grid minimum of ``aab_inconsistency_oracle``, rows at once.
 
     Avoids scanning all ``steps`` points: along the arc the cosine of the
     distance to g3 is a sinusoid in the arc parameter, so on a window
     shorter than half a period the grid minimum is attained at an endpoint
     or at a grid neighbor of the single interior critical point.  Only those
     candidate indices are evaluated, with the same grid-point construction
-    and distance formula as the full scan.
+    and distance formula as the full scan: the two endpoints on every row,
+    the four neighbours only on rows with an interior critical point.
+
+    Agrees with the scan to rounding, not to the bit, because the scan
+    renormalizes its inputs first.  Measured on four draws of 1000 random
+    rows with steps from 2 to 10001: 306 to 325 minima per draw differ, by
+    at most 2.7e-14; given the renormalized vectors, none differ.
 
     Rows with a degenerate base are the caller's problem, as in
     ``aab_inconsistency_batch``.
@@ -236,18 +242,20 @@ def aab_oracle_batch(G3: np.ndarray, G1: np.ndarray, G2: np.ndarray, steps: int)
     # theta = u * psi; critical points solve tan(theta) = (y - xz)/(x sin psi).
     theta_star = np.arctan2(y - x * z, x * np.sin(psi))
 
-    n = G3.shape[0]
+    def grid_min(rows, idx):
+        # smallest distance from each row's g3 to its (rows, k) grid indices
+        pts = _arc_grid_points(G1[rows, None, :], G2[rows, None, :], idx, steps)
+        d = great_circle_distance_batch(np.broadcast_to(G3[rows, None, :], pts.shape), pts)
+        return d.min(axis=1)
+
     last = float(steps - 1)
-    cands = [np.zeros(n), np.full(n, last)]
+    best = grid_min(slice(None), np.tile([0.0, last], (G3.shape[0], 1)))
+    # the neighbours of a shift are evaluated only on the rows where it lands
+    # inside the arc; on uniform triples that is about half the rows, once
     for shift in (-np.pi, 0.0, np.pi):
         theta = theta_star + shift
-        inside = (theta > 0.0) & (theta < psi)
-        pos = np.where(inside, theta / psi * last, 0.0)
-        base = np.floor(pos)
-        for off in (-1.0, 0.0, 1.0, 2.0):
-            cands.append(np.where(inside, np.clip(base + off, 0.0, last), 0.0))
-    idx = np.stack(cands, axis=1)
-
-    pts = _arc_grid_points(G1[:, None, :], G2[:, None, :], idx, steps)
-    d = great_circle_distance_batch(np.broadcast_to(G3[:, None, :], pts.shape), pts)
-    return d.min(axis=1)
+        rows = np.flatnonzero((theta > 0.0) & (theta < psi))
+        base = np.floor(theta[rows] / psi[rows] * last)
+        idx = np.clip(base[:, None] + np.array([-1.0, 0.0, 1.0, 2.0]), 0.0, last)
+        best[rows] = np.minimum(best[rows], grid_min(rows, idx))
+    return best

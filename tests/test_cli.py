@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import aabscreen
 from aabscreen.cli import main
 
 
@@ -160,6 +165,50 @@ class TestSubcommands:
         assert err.startswith("error: ") and "no edge has a supported statistic" in err
         assert not (tmp_path / "eval" / "roc.csv").exists()
 
+    def test_verify_formula_bytes(self, tmp_path):
+        out = tmp_path / "verify.json"
+        assert run(
+            "verify", "--mode", "formula", "--samples", 2000, "--seed", 3,
+            "--oracle-steps", 10000, "--out", out,
+        ) == 0
+        assert out.read_bytes() == (
+            b'{\n  "max_abs_dev_as_printed": 0.27564275601465427,\n'
+            b'  "max_abs_dev_corrected": 2.7849189004024166e-07,\n'
+            b'  "mode": "formula",\n  "oracle_steps": 10000,\n'
+            b'  "samples": 2000,\n  "seed": 3\n}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "stage, table", [("filter", "stats"), ("evaluate", "labels")]
+    )
+    def test_edge_table_pair_out_of_order_names_its_line(
+        self, generated, tmp_path, capsys, stage, table
+    ):
+        stats = tmp_path / "stats.csv"
+        assert run(
+            "screen", "--edges", generated["edges"], "--stat", "naive",
+            "--seed", 1, "--out", stats,
+        ) == 0
+        path = stats if table == "stats" else generated["labels"]
+        lines = path.read_text().splitlines()
+        # the first data row, with its two vertex ids swapped
+        k = next(k for k, line in enumerate(lines) if line.startswith("i,j,")) + 1
+        i, j, rest = lines[k].split(",", 2)
+        lines[k] = f"{j},{i},{rest}"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        common = ["--edges", generated["edges"], "--stats", stats]
+        extra = (
+            ["--out", tmp_path / "pruned.txt"] if stage == "filter"
+            else ["--labels", generated["labels"], "--out-dir", tmp_path / "eval"]
+        )
+        code = run(stage, *common, *extra)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1
+        assert err.startswith("error: ")
+        assert f"{path}:{k + 1}: edge ({j}, {i}) violates i < j" in err
+
     def test_per_iteration_dump(self, generated, tmp_path):
         out = tmp_path / "stats.csv"
         periter = tmp_path / "periter.csv"
@@ -281,3 +330,52 @@ class TestFullPipeline:
         ) == 0
         report = json.loads((outdir / "errors.json").read_text())
         assert "improvement_percent" in report
+
+
+def run_fresh(code: str, *argv) -> str:
+    """Run ``code`` in a fresh interpreter that imports this aabscreen;
+    returns its stdout."""
+    env = dict(os.environ)
+    src = str(Path(aabscreen.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, argv)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return proc.stdout
+
+
+class TestScipyLoadedOnlyToFactor:
+    """scipy.linalg is imported on the first factorization, so stages that
+    never factor never pay its import."""
+
+    def test_bare_solvers_import(self):
+        out = run_fresh("import sys, aabscreen.solvers; print('scipy' in sys.modules)")
+        assert out.split() == ["False"]
+
+    def test_evaluate_stage(self, generated, tmp_path):
+        stats = tmp_path / "stats.csv"
+        estimate = tmp_path / "estimate.txt"
+        assert run(
+            "screen", "--edges", generated["edges"], "--stat", "naive",
+            "--seed", 1, "--out", stats,
+        ) == 0
+        assert run("solve", "--edges", generated["edges"], "--solver", "ls", "--out", estimate) == 0
+        out = run_fresh(
+            "import sys; from aabscreen.cli import main; "
+            "code = main(sys.argv[1:]); print(code, 'scipy' in sys.modules)",
+            "evaluate", "--edges", generated["edges"], "--stats", stats,
+            "--labels", generated["labels"], "--estimate", estimate,
+            "--ground-truth", generated["locations"], "--out-dir", tmp_path / "eval",
+        )
+        assert out.splitlines()[-1].split() == ["0", "False"]
+        assert (tmp_path / "eval" / "errors.json").exists()
+
+    def test_solve_stage_loads_it(self, generated, tmp_path):
+        out = run_fresh(
+            "import sys; from aabscreen.cli import main; "
+            "code = main(sys.argv[1:]); print(code, 'scipy' in sys.modules)",
+            "solve", "--edges", generated["edges"], "--solver", "ls",
+            "--out", tmp_path / "estimate.txt",
+        )
+        assert out.splitlines()[-1].split() == ["0", "True"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aabscreen.aabstats import AABConfig, ir_aab, naive_aab
-from aabscreen.evaluation import label_edges
+from aabscreen.aabstats import AABConfig, EdgeStatistics, ir_aab, naive_aab
+from aabscreen.evaluation import EdgeLabels, HistogramCounts, RocCurve, label_edges
 from aabscreen.fileio import (
     FileFormatError,
     parse_edge_list,
@@ -19,8 +20,11 @@ from aabscreen.fileio import (
     parse_locations,
     parse_statistics,
     write_edge_list,
+    write_histogram_csv,
     write_labels,
     write_locations,
+    write_per_iteration,
+    write_roc_csv,
     write_statistics,
 )
 from aabscreen.graph import ViewGraph
@@ -222,6 +226,17 @@ PARSERS = {
 }
 
 
+@pytest.mark.parametrize("fmt", ["stats", "labels"])
+@pytest.mark.parametrize("pair", ["1,0", "2,2"])
+def test_edge_table_rejects_pair_out_of_order(tmp_path, fmt, pair):
+    parse, header, line = PARSERS[fmt]
+    path = tmp_path / "bad.txt"
+    path.write_text(f"{header} n=3\n{line}\n{pair},0.5,0\n")
+    i, j = pair.split(",")
+    with pytest.raises(FileFormatError, match=rf"bad.txt:3: edge \({i}, {j}\) violates i < j"):
+        parse(str(path))
+
+
 @pytest.mark.parametrize("fmt", list(PARSERS))
 class TestMalformedFiles:
     def test_non_ascii_byte(self, tmp_path, fmt):
@@ -276,3 +291,94 @@ class TestEdgeRowOrder:
                 write(shuffled, paths[1])
                 with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
                     assert a.read() == b.read(), name
+
+
+def g17(v: float) -> str:
+    return format(v, ".17g")
+
+
+# values whose 17-digit form is easy to get wrong: a signed zero, the
+# smallest subnormal, a value near the top of the range, an inexact decimal
+AWKWARD = [-0.0, 5e-324, 1e308, 0.1]
+
+
+class TestWriterBytes:
+    """Every float a writer emits reads exactly ``format(v, ".17g")``."""
+
+    @staticmethod
+    def data_lines(path) -> list[str]:
+        return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+    def test_edge_list(self, tmp_path):
+        d = np.array([[-0.0, 0.6, 0.8], [5e-324, 1.0, 0.0], [0.1, math.sqrt(0.99), -0.0]])
+        g = ViewGraph.from_arrays(4, [0, 0, 1], [1, 2, 3], d)
+        assert np.signbit(g.direction_array[0, 0]) and g.direction_array[1, 0] == 5e-324
+        path = tmp_path / "edges.txt"
+        write_edge_list(g, str(path))
+        assert self.data_lines(path) == [
+            f"{i} {j} {g17(x)} {g17(y)} {g17(z)}"
+            for (i, j), (x, y, z) in zip(g.edge_array.tolist(), g.direction_array.tolist())
+        ]
+
+    def test_locations(self, tmp_path):
+        path = tmp_path / "locations.txt"
+        write_locations({3: np.array(AWKWARD[1:]), 0: np.array(AWKWARD[:3])}, 5, str(path))
+        assert self.data_lines(path) == [
+            f"0 {g17(-0.0)} {g17(5e-324)} {g17(1e308)}",
+            f"3 {g17(5e-324)} {g17(1e308)} {g17(0.1)}",
+        ]
+
+    def test_statistics_and_rounds(self, tmp_path):
+        values = AWKWARD + [math.nan]
+        edge_array = np.array([[0, 1], [0, 2], [1, 2], [1, 3], [2, 3]])
+        g = ViewGraph.from_arrays(4, *edge_array.T, np.tile([1.0, 0, 0], (5, 1)))
+        stats = EdgeStatistics(
+            edge_array=edge_array,
+            value=np.array(values),
+            per_iteration=np.array([values, values[::-1]]),
+        )
+        path = tmp_path / "stats.csv"
+        write_statistics(g, stats, str(path))
+        expected = [f"{i},{j},{g17(v)},0" for (i, j), v in zip(edge_array.tolist(), AWKWARD)]
+        assert self.data_lines(path) == ["i,j,statistic,unsupported", *expected, "2,3,nan,1"]
+        path = tmp_path / "rounds.csv"
+        write_per_iteration(g, stats, str(path))
+        rounds = [
+            f"{t},{i},{j},{g17(v)}"
+            for t, vals in enumerate([values, values[::-1]])
+            for (i, j), v in zip(edge_array.tolist(), vals)
+            if not math.isnan(v)
+        ]
+        assert self.data_lines(path) == ["t,i,j,value", *rounds]
+
+    def test_labels(self, tmp_path):
+        edge_array = np.array([[0, 1], [0, 2], [1, 2], [1, 3]])
+        g = ViewGraph.from_arrays(4, *edge_array.T, np.tile([1.0, 0, 0], (4, 1)))
+        labels = EdgeLabels(edge_array=edge_array, angle=np.array(AWKWARD),
+                            corrupted=np.array([True, False, True, False]))
+        path = tmp_path / "labels.csv"
+        write_labels(g, labels, str(path))
+        expected = [f"{i},{j},{g17(a)},{c}" for (i, j), a, c in
+                    zip(edge_array.tolist(), AWKWARD, [1, 0, 1, 0])]
+        assert self.data_lines(path) == ["i,j,angle,corrupted", *expected]
+
+    def test_roc_and_histogram(self, tmp_path):
+        roc = RocCurve(thresholds=np.array([math.inf, 1e308, 0.1, -0.0]),
+                       fpr=np.array([0.0, 5e-324, 0.1, 1.0]),
+                       tpr=np.array([-0.0, 0.1, 0.1, 1.0]), auc=0.1)
+        path = tmp_path / "roc.csv"
+        write_roc_csv(roc, str(path))
+        lines = path.read_text().splitlines()
+        assert lines[-1] == f"# auc={g17(0.1)}"
+        assert self.data_lines(path) == ["threshold,fpr,tpr"] + [
+            f"{g17(a)},{g17(b)},{g17(c)}" for a, b, c in zip(roc.thresholds, roc.fpr, roc.tpr)
+        ]
+        edges = [-0.0, 5e-324, 0.1, 1.0, 1e308]
+        hist = HistogramCounts(bin_edges=np.array(edges), corrupted=np.array([3, 0, 7, 1]),
+                               uncorrupted=np.array([0, 2, 0, 5]))
+        path = tmp_path / "hist.csv"
+        write_histogram_csv(hist, str(path))
+        assert self.data_lines(path) == ["bin_left,bin_right,corrupted,uncorrupted"] + [
+            f"{g17(lo)},{g17(hi)},{c},{u}"
+            for lo, hi, c, u in zip(edges, edges[1:], [3, 0, 7, 1], [0, 2, 0, 5])
+        ]

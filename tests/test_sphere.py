@@ -13,6 +13,8 @@ from aabscreen.sphere import (
     aab_inconsistency_batch,
     aab_inconsistency_oracle,
     aab_oracle_batch,
+    as_unit_vector,
+    degenerate_base_mask,
     great_circle_distance,
     great_circle_distance_batch,
     sample_uniform_sphere_batch,
@@ -20,6 +22,7 @@ from aabscreen.sphere import (
 from aabscreen.streams import derive_rng
 
 from conftest import random_rotation, random_units, unit
+from padded_oracle import interior_shift_count, padded_oracle_batch
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -206,7 +209,9 @@ class TestOracle:
 
     @pytest.mark.parametrize("steps", [2, 3, 101, 1001, 10001])
     def test_batch_equals_scan(self, rng, steps):
-        # the candidate-index evaluation must reproduce the full scan exactly
+        # the candidate-index evaluation agrees with the full scan to
+        # rounding: the scan renormalizes its inputs, which moves about a
+        # third of the minima by up to ~3e-14
         g1 = random_units(rng, 100)
         g2 = random_units(rng, 100)
         g3 = random_units(rng, 100)
@@ -226,6 +231,71 @@ class TestOracle:
         for k in range(5):
             scan = aab_inconsistency_oracle(g3[k], g1[k], g2[k], 1_000_000)
             assert batch[k] == pytest.approx(scan, abs=1e-12)
+
+    @pytest.mark.parametrize("steps", [2, 3, 101, 10001])
+    def test_batch_equals_scan_bit_for_bit_on_renormalized_rows(self, rng, steps):
+        # given the vectors the scan itself works on, both take the same
+        # grid minimum
+        rows = [[as_unit_vector(v) for v in random_units(rng, 3)] for _ in range(50)]
+        g1, g2, g3 = (np.array(col) for col in zip(*rows))
+        keep = ~degenerate_base_mask(g1, g2)
+        g1, g2, g3 = g1[keep], g2[keep], g3[keep]
+        scan = [aab_inconsistency_oracle(c, a, b, steps) for a, b, c in zip(g1, g2, g3)]
+        assert aab_oracle_batch(g3, g1, g2, steps).tolist() == scan
+
+
+def arc_point(g1: np.ndarray, g2: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Point at angle theta from -g1 toward -g2 on their great circle, rows."""
+    psi = np.arccos(np.einsum("ij,ij->i", g1, g2))
+    return (
+        np.sin(psi - theta)[:, None] * -g1 + np.sin(theta)[:, None] * -g2
+    ) / np.sin(psi)[:, None]
+
+
+def oracle_rows(rng: np.random.Generator, kind: str, n: int = 400):
+    """(g3, g1, g2) rows: uniform, or built so that the distance along the
+    arc has exactly one interior critical point, or none.
+
+    g3 leaves the great circle of the arc from its point at angle theta, so
+    the critical points sit at theta and theta + pi: inside the arc for
+    theta in (0, psi), outside it for theta in (psi - pi, 0).
+    """
+    g1, g2, g3 = (random_units(rng, n) for _ in range(3))
+    if kind == "random":
+        keep = ~degenerate_base_mask(g1, g2)
+        return g3[keep], g1[keep], g2[keep]
+    psi = np.arccos(np.einsum("ij,ij->i", g1, g2))
+    keep = (psi > 0.1) & (psi < math.pi - 0.1)
+    g1, g2, psi = g1[keep], g2[keep], psi[keep]
+    frac = rng.uniform(0.05, 0.95, psi.size)
+    theta = frac * psi if kind == "interior" else -frac * (math.pi - psi)
+    normal = np.cross(g1, g2)
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    tilt = rng.uniform(-1.4, 1.4, psi.size)
+    g3 = np.cos(tilt)[:, None] * arc_point(g1, g2, theta) + np.sin(tilt)[:, None] * normal
+    return g3 / np.linalg.norm(g3, axis=1, keepdims=True), g1, g2
+
+
+class TestOracleBatchAgainstPadded:
+    """The batch oracle evaluates grid neighbours only on rows with an
+    interior critical point; the padded reference evaluates fourteen
+    candidates on every row.  The minima must agree to the bit."""
+
+    @pytest.mark.parametrize("kind", ["random", "interior", "no_interior"])
+    @pytest.mark.parametrize("steps", [2, 3, 101, 10001])
+    def test_bit_identical(self, rng, kind, steps):
+        g3, g1, g2 = oracle_rows(rng, kind)
+        got = aab_oracle_batch(g3, g1, g2, steps)
+        ref = padded_oracle_batch(g3, g1, g2, steps)
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+
+    def test_row_kinds(self, rng):
+        counts = {kind: interior_shift_count(*oracle_rows(rng, kind)) for kind in
+                  ("random", "interior", "no_interior")}
+        assert (counts["interior"] == 1).all()
+        assert (counts["no_interior"] == 0).all()
+        assert 0 < (counts["random"] == 0).mean() < 1
 
 
 def all_rows_reference(G3: np.ndarray, G1: np.ndarray, G2: np.ndarray) -> np.ndarray:
