@@ -7,6 +7,7 @@ and exits nonzero with a one-line diagnostic on any library error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -183,6 +184,8 @@ def _cmd_evaluate(args) -> int:
         usage = "--ground-truth requires --estimate"
     elif args.baseline_error is not None and args.estimate is None:
         usage = "--baseline-error requires --estimate and --ground-truth"
+    elif args.baseline_error is not None and not 0.0 < args.baseline_error < math.inf:
+        usage = "--baseline-error must be finite and > 0"
     if usage is not None:
         print(f"error: {usage}", file=sys.stderr)
         return 2

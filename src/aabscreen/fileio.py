@@ -18,7 +18,8 @@ import numpy as np
 
 from .aabstats import EdgeStatistics
 from .evaluation import EdgeLabels, HistogramCounts, RocCurve
-from .graph import ViewGraph, match_edge_rows
+from .graph import MAX_VERTICES, ViewGraph, first_fault, match_edge_rows, pair_checks, repeats
+from .sphere import UNIT_NORM_TOL
 
 __all__ = [
     "FileFormatError",
@@ -40,8 +41,6 @@ _EDGE_HEADER = "# aab-edges v1"
 _LOC_HEADER = "# aab-locations v1"
 _STAT_HEADER = "# aab-stats v1"
 _LABEL_HEADER = "# aab-labels v1"
-
-_NORM_REJECT_TOL = 1e-6
 
 
 class FileFormatError(ValueError):
@@ -67,10 +66,39 @@ def _metadata_lines(metadata: Mapping[str, object] | None) -> list[str]:
     return [f"# {key}={metadata[key]}" for key in metadata]
 
 
-class _Reader:
-    """Line iterator with error context; skips blank and comment lines."""
+# the messages of graph.pair_checks, formatted with the row's ids
+_PAIR_MESSAGES = (
+    "edge ({i}, {j}) violates i < j",
+    "vertex pair ({i}, {j}) out of range for n={n}",
+    "duplicate edge ({i}, {j})",
+)
 
-    def __init__(self, path: str):
+
+def _convert(kind, tokens):
+    """``kind`` (int, float or str) of each token, and the mask of those it
+    rejects, which read as ``kind(0)``.  Ints come as an int64 array, or as
+    an object array if one does not fit; such an id or flag fails its range
+    or 0/1 check."""
+    values, bad = [], np.zeros(len(tokens), dtype=bool)
+    for k, token in enumerate(tokens):
+        try:
+            values.append(kind(token))
+        except ValueError:
+            values.append(kind(0))
+            bad[k] = True
+    if kind is int:
+        try:
+            values = np.array(values, dtype=np.int64)
+        except OverflowError:
+            values = np.array(values, dtype=object)
+    return values, bad
+
+
+class _Reader:
+    """A file with a checked header, read into named columns and checked row
+    by row; a fault raises ``FileFormatError`` with the path and line."""
+
+    def __init__(self, path: str, header: str):
         self.path = path
         with open(path, "rb") as fh:
             data = fh.read()
@@ -80,27 +108,60 @@ class _Reader:
             # the appended character closes the last, possibly empty, line
             lineno = len((data[: exc.start].decode("ascii") + "x").splitlines())
             self.fail(lineno, f"non-ASCII byte 0x{data[exc.start]:02x}")
+        first = self.lines[0] if self.lines else ""
+        # the version must match whole: "v1" does not accept "v10"
+        if not first.startswith(header) or first[len(header) :][:1].strip():
+            self.fail(1, f"expected header {header!r}")
+        try:
+            self.n = n = int(first.split("n=")[1].split()[0])
+        except (IndexError, ValueError):
+            raise FileFormatError(f"{path}:1: header is missing n=<count>") from None
+        if n < 2:
+            self.fail(1, f"header n={n}: need at least 2 vertices")
+        if n > MAX_VERTICES:
+            self.fail(1, f"header n={n}: need at most {MAX_VERTICES} vertices")
 
     def fail(self, lineno: int, msg: str):
         raise FileFormatError(f"{self.path}:{lineno}: {msg}")
 
-    def check_header(self, expected: str):
-        if not self.lines or not self.lines[0].startswith(expected):
-            raise FileFormatError(f"{self.path}:1: expected header {expected!r}")
-        try:
-            n = int(self.lines[0].split("n=")[1].split()[0])
-        except (IndexError, ValueError):
-            raise FileFormatError(f"{self.path}:1: header is missing n=<count>") from None
-        if n < 2:
-            self.fail(1, f"header n={n}: need at least 2 vertices")
-        return n
-
-    def data_lines(self):
+    def rows(self, sep: str | None, unparsed: str, skip: str | None = None, **kinds) -> dict:
+        """Columns of the data lines (neither blank, nor '#' comments, nor
+        ``skip``) split on ``sep``, named and converted by ``kinds``.  A line
+        with the wrong field count, or a token its kind rejects, reads as
+        zeros: ``check`` reports these faults first, the second as
+        ``unparsed``, and formats its messages from the returned dict, to
+        which a caller may add columns."""
+        width = len(kinds)
+        self.linenos, widths, rows = [], [], []
         for lineno, line in enumerate(self.lines[1:], start=2):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            yield lineno, stripped
+            line = line.strip()
+            if line and line[0] != "#" and line != skip:
+                parts = line.split(sep)
+                self.linenos.append(lineno)
+                widths.append(len(parts))
+                rows.append(parts if len(parts) == width else ["0"] * width)
+        self.cols = {"fields": widths}
+        bad = np.zeros(len(rows), dtype=bool)
+        for (name, kind), tokens in zip(kinds.items(), list(zip(*rows)) or [()] * width):
+            self.cols[name], rejected = _convert(kind, tokens)
+            bad |= rejected
+        unit = "fields" if sep is None else "columns"
+        self.checks = [
+            (np.array(widths) != width, f"expected {width} {unit}, got {{fields}}"),
+            (bad, unparsed),
+        ]
+        return self.cols
+
+    def check(self, *checks, **names) -> None:
+        """Fail at the earliest row that fails one of ``checks``, (mask,
+        message) pairs in the order a row is checked, with the message of
+        the first it fails, formatted from the row, ``n`` and ``names``."""
+        masks, messages = zip(*self.checks, *checks)
+        fault = first_fault(masks)
+        if fault is not None:
+            r, k = fault
+            row = {name: col[r] for name, col in self.cols.items()}
+            self.fail(self.linenos[r], messages[k].format(n=self.n, **names, **row))
 
 
 # -- edge lists --------------------------------------------------------------
@@ -118,59 +179,25 @@ def write_edge_list(g: ViewGraph, path: str, metadata: Mapping[str, object] | No
 
 
 def parse_edge_list(path: str) -> ViewGraph:
-    """Read a view graph, validating ids, uniqueness, and direction norms.
-
-    Field counts, ids and uniqueness are checked line by line, the direction
-    checks (finite components, unit norm) afterwards as array operations over
-    the lines read; the error reported is the first in file order either way.
-    """
-    rd = _Reader(path)
-    n = rd.check_header(_EDGE_HEADER)
-    linenos = []
-    ids = []
-    dirs = []
-    seen = set()
-    later = None
-    try:
-        for lineno, line in rd.data_lines():
-            parts = line.split()
-            if len(parts) != 5:
-                rd.fail(lineno, f"expected 5 fields, got {len(parts)}")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-                d = tuple(map(float, parts[2:]))
-            except ValueError:
-                rd.fail(lineno, "could not parse vertex ids or direction components")
-            if i >= j:
-                rd.fail(lineno, f"edge ({i}, {j}) violates i < j")
-            if not (0 <= i < n and j < n):
-                rd.fail(lineno, f"vertex pair ({i}, {j}) out of range for n={n}")
-            if (i, j) in seen:
-                rd.fail(lineno, f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
-            linenos.append(lineno)
-            ids.append((i, j))
-            dirs.extend(d)
-    except FileFormatError as exc:
-        # the lines before this one may still hold a bad direction
-        later = exc
-
-    d = np.array(dirs, dtype=np.float64).reshape(-1, 3)
-    finite = np.isfinite(d).all(axis=1)
+    """Read a view graph; on the first faulty line, the first of: field
+    count, tokens, i < j, id range, repeated pair, finite direction, unit
+    norm."""
+    rd = _Reader(path, _EDGE_HEADER)
+    unparsed = "could not parse vertex ids or direction components"
+    c = rd.rows(None, unparsed, i=int, j=int, x=float, y=float, z=float)
+    d = np.stack([c["x"], c["y"], c["z"]], axis=1)
     norms = np.linalg.norm(d, axis=1)
-    bad = np.flatnonzero(~finite | (np.abs(norms - 1.0) > _NORM_REJECT_TOL))
-    if bad.size:
-        k = bad[0]
-        if not finite[k]:
-            rd.fail(linenos[k], "direction has a non-finite component")
-        rd.fail(
-            linenos[k],
-            f"direction norm {float(norms[k])!r} deviates from 1 by more than {_NORM_REJECT_TOL}",
-        )
-    if later is not None:
-        raise later
-    ij = np.array(ids, dtype=np.int64).reshape(-1, 2)
-    return ViewGraph.from_arrays(n, ij[:, 0], ij[:, 1], d / norms[:, None])
+    c["norm"] = norms.tolist()
+    rd.check(
+        *zip(pair_checks(rd.n, c["i"], c["j"]), _PAIR_MESSAGES),
+        (~np.isfinite(d).all(axis=1), "direction has a non-finite component"),
+        (
+            np.abs(norms - 1.0) > UNIT_NORM_TOL,
+            "direction norm {norm!r} deviates from 1 by more than {tol}",
+        ),
+        tol=UNIT_NORM_TOL,
+    )
+    return ViewGraph.from_arrays(rd.n, c["i"], c["j"], d / norms[:, None])
 
 
 # -- locations ---------------------------------------------------------------
@@ -191,77 +218,52 @@ def write_locations(
 
 
 def parse_locations(path: str) -> tuple[dict[int, np.ndarray], int]:
-    rd = _Reader(path)
-    n = rd.check_header(_LOC_HEADER)
-    locs: dict[int, np.ndarray] = {}
-    for lineno, line in rd.data_lines():
-        parts = line.split()
-        if len(parts) != 4:
-            rd.fail(lineno, f"expected 4 fields, got {len(parts)}")
-        try:
-            v = int(parts[0])
-            t = np.array([float(parts[1]), float(parts[2]), float(parts[3])])
-        except ValueError:
-            rd.fail(lineno, "could not parse vertex id or coordinates")
-        if not np.isfinite(t).all():
-            rd.fail(lineno, f"location of vertex {v} has a non-finite coordinate")
-        if not 0 <= v < n:
-            rd.fail(lineno, f"vertex {v} out of range for n={n}")
-        if v in locs:
-            rd.fail(lineno, f"vertex {v} appears more than once")
-        locs[v] = t
-    return locs, n
+    """Read vertex locations; on the first faulty line, the first of: field
+    count, tokens, finite coordinates, id range, repeated vertex."""
+    rd = _Reader(path, _LOC_HEADER)
+    c = rd.rows(None, "could not parse vertex id or coordinates", v=int, x=float, y=float, z=float)
+    t = np.stack([c["x"], c["y"], c["z"]], axis=1)
+    v = c["v"]
+    in_range = (v >= 0) & (v < rd.n)
+    rd.check(
+        (~np.isfinite(t).all(axis=1), "location of vertex {v} has a non-finite coordinate"),
+        (~in_range, "vertex {v} out of range for n={n}"),
+        (repeats(v, in_range), "vertex {v} appears more than once"),
+    )
+    return dict(zip(v.tolist(), t)), rd.n
 
 
 # -- statistics and labels ----------------------------------------------------
 
 
 def _parse_edge_table(path: str, header: str, columns: str, flag_skips_value: bool):
-    """Rows "i,j,value,flag" of a statistics or labels file, sorted by pair.
+    """The (m, 2) pairs, values (NaN where skipped) and flags of the rows
+    "i,j,value,flag" of a statistics or labels file, sorted by pair.
 
-    Checks the column count, i < j, the vertex range, uniqueness of the
-    pair, the 0/1 flag and, unless the flag is set and ``flag_skips_value``,
-    a finite value.  Returns the (m, 2) pairs, the values (NaN where skipped)
-    and the flags.
+    On the first faulty line, reports the first of: column count, tokens,
+    i < j, id range, repeated pair, a flag other than 0 or 1 and, unless the
+    flag is set and ``flag_skips_value``, the value token and a finite value.
     """
-    rd = _Reader(path)
-    n = rd.check_header(header)
+    rd = _Reader(path, header)
     _, _, what, flag_name = columns.split(",")
-    ids, values, flags = [], [], []
-    seen = set()
-    for lineno, line in rd.data_lines():
-        if line == columns:
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            rd.fail(lineno, f"expected 4 columns, got {len(parts)}")
-        try:
-            i, j, flag = int(parts[0]), int(parts[1]), int(parts[3])
-        except ValueError:
-            rd.fail(lineno, "could not parse row")
-        if i >= j:
-            rd.fail(lineno, f"edge ({i}, {j}) violates i < j")
-        if not (0 <= i < n and j < n):
-            rd.fail(lineno, f"vertex pair ({i}, {j}) out of range for n={n}")
-        if (i, j) in seen:
-            rd.fail(lineno, f"duplicate edge {(i, j)}")
-        if flag not in (0, 1):
-            rd.fail(lineno, f"{flag_name} flag of edge {(i, j)} must be 0 or 1, got {flag}")
-        seen.add((i, j))
-        value = math.nan
-        if not (flag and flag_skips_value):
-            try:
-                value = float(parts[2])
-            except ValueError:
-                rd.fail(lineno, f"could not parse {what} value")
-            if not math.isfinite(value):
-                rd.fail(lineno, f"{what} of edge {(i, j)} is not finite")
-        ids.append((i, j))
-        values.append(value)
-        flags.append(flag)
-    ij = np.array(ids, dtype=np.int64).reshape(-1, 2)
-    order = np.lexsort((ij[:, 1], ij[:, 0]))
-    return ij[order], np.array(values, dtype=np.float64)[order], np.array(flags, dtype=bool)[order]
+    c = rd.rows(",", "could not parse row", columns, i=int, j=int, value=str, flag=int)
+    i, j, flag = c["i"], c["j"], c["flag"]
+    value, bad_value = _convert(float, c["value"])
+    skipped = (flag == 1) & flag_skips_value
+    value = np.where(skipped, np.nan, value)
+    rd.check(
+        *zip(pair_checks(rd.n, i, j), _PAIR_MESSAGES),
+        (
+            (flag != 0) & (flag != 1),
+            "{flag_name} flag of edge ({i}, {j}) must be 0 or 1, got {flag}",
+        ),
+        (bad_value & ~skipped, "could not parse {what} value"),
+        (~np.isfinite(value) & ~skipped, "{what} of edge ({i}, {j}) is not finite"),
+        what=what,
+        flag_name=flag_name,
+    )
+    order = np.lexsort((j, i))
+    return np.stack([i, j], axis=1)[order], value[order], flag.astype(bool)[order]
 
 
 def write_statistics(
@@ -369,5 +371,5 @@ def write_histogram_csv(
 
 
 def write_json_report(payload: dict, path: str) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     _atomic_write(path, [text])

@@ -14,7 +14,13 @@ import numpy as np
 
 from .sphere import UNIT_NORM_TOL
 
-__all__ = ["ViewGraph", "edge_tuples", "match_edge_rows"]
+__all__ = [
+    "MAX_VERTICES", "ViewGraph", "edge_tuples", "first_fault", "match_edge_rows", "pair_checks",
+    "repeats",
+]
+
+# Most vertices a graph may have: every pair key i * n + j is then exact in int64.
+MAX_VERTICES = 2**31 - 1
 
 # Directions off unit norm by more than this (and at most UNIT_NORM_TOL) are
 # renormalized on construction.
@@ -25,6 +31,36 @@ _RENORM_TOL = 1e-12
 _WEDGE_BLOCK = 1 << 20
 
 
+def first_fault(checks) -> tuple[int, int] | None:
+    """(row, k): the earliest row that fails one of ``checks``, boolean
+    masks over the same rows listed in the order a row is checked, and the
+    first check it fails; None if every row passes."""
+    failed = np.logical_or.reduce(checks)
+    if not failed.any():
+        return None
+    row = int(np.argmax(failed))
+    return row, next(k for k, check in enumerate(checks) if check[row])
+
+
+def repeats(keys, valid) -> np.ndarray:
+    """Mask of the ``valid`` rows whose nonnegative key is an earlier one's."""
+    m = valid.size
+    keys = np.where(valid, keys, -1 - np.arange(m)).astype(np.int64)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first[inverse] != np.arange(m)
+
+
+def pair_checks(n: int, i, j) -> list[np.ndarray]:
+    """Masks of the rows whose vertex pair (i[k], j[k]) breaks i < j, has an
+    id outside [0, n), or repeats the pair of an earlier row.  The ids may
+    be an object array of ints too large for int64."""
+    order = i >= j
+    in_range = (i >= 0) & (j < n)  # both ids, given i < j
+    # i * n + j may wrap in int64 on a row failing the first two checks;
+    # repeats ignores those rows
+    return [order, ~in_range, repeats(i * n + j, ~order & in_range)]
+
+
 def _first_invalid(n: int, i, j, d, norms, not_vec) -> str | None:
     """Message for the first offending edge in input order, or None.
 
@@ -33,24 +69,15 @@ def _first_invalid(n: int, i, j, d, norms, not_vec) -> str | None:
     listed in ``not_vec``), non-finite components, and unit norm (``norms``
     are the row norms of ``d``).
     """
-    m = i.size
-    if m == 0:
-        return None
-    lo = np.minimum(i, j)
-    hi = np.maximum(i, j)
-    in_range = (lo >= 0) & (hi < n)
-    # out-of-range pairs get distinct negative keys so they match nothing
-    keys = np.where(in_range, lo * n + hi, -1 - np.arange(m))
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    dup = first[inverse] != np.arange(m)
-    bad_vec = np.zeros(m, dtype=bool)
+    bad_vec = np.zeros(i.size, dtype=bool)
     bad_vec[list(not_vec)] = True
     finite = np.isfinite(d).all(axis=1)
-    checks = [i == j, ~in_range, dup, bad_vec, ~finite, ~(np.abs(norms - 1.0) <= UNIT_NORM_TOL)]
-    offending = np.logical_or.reduce(checks)
-    if not offending.any():
+    unit = np.abs(norms - 1.0) <= UNIT_NORM_TOL
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    fault = first_fault([*pair_checks(n, lo, hi), bad_vec, ~finite, ~unit])
+    if fault is None:
         return None
-    e = int(np.argmax(offending))
+    e, k = fault
     a, b = int(i[e]), int(j[e])
     messages = [
         f"self-loop at vertex {a}",
@@ -61,7 +88,7 @@ def _first_invalid(n: int, i, j, d, norms, not_vec) -> str | None:
         f"direction of edge ({a}, {b}) has norm {float(norms[e])!r}, "
         f"deviating from 1 by more than {UNIT_NORM_TOL}",
     ]
-    return next(msg for check, msg in zip(checks, messages) if check[e])
+    return messages[k]
 
 
 def edge_tuples(edge_array: np.ndarray) -> list[tuple[int, int]]:
@@ -127,6 +154,8 @@ class ViewGraph:
     def _build(self, n, i, j, d, not_vec) -> None:
         if n < 2:
             raise ValueError("a view graph needs at least 2 vertices")
+        if n > MAX_VERTICES:
+            raise ValueError(f"a view graph has at most {MAX_VERTICES} vertices")
         n = int(n)
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)

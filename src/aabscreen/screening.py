@@ -39,6 +39,8 @@ class ScreeningPolicy:
     def __post_init__(self):
         if self.mode == "keep_fraction" and not 0.0 < self.keep_fraction <= 1.0:
             raise ValueError("keep_fraction must be in (0, 1]")
+        if self.threshold is not None and math.isnan(self.threshold):
+            raise ValueError("threshold must not be NaN")
         if self.min_degree < 0:
             raise ValueError("min_degree must be >= 0")
 

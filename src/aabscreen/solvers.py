@@ -33,6 +33,7 @@ alignment, whose scale is sign-free and absorbs the reflection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Mapping
@@ -300,8 +301,8 @@ def solve_irls_lud(g: ViewGraph, max_iters: int = 100, delta: float = 1e-8) -> L
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if delta <= 0.0:
-        raise ValueError("delta must be > 0")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta!r}")
 
     verts, t, _ = _solve_spectral(g)
     n = verts.size

@@ -44,6 +44,9 @@ UNIT_NORM_TOL = 1e-6
 # degenerate: the arc collapses to a point or covers a full great circle.
 DEGENERATE_BASE_TOL = 1e-9
 
+# Grid points the scan oracle evaluates per pass; bounds its temporaries.
+_ORACLE_CHUNK = 262144
+
 
 class DegenerateBaseError(ValueError):
     """The base pair is (anti)parallel, so the consistency arc is ill-defined."""
@@ -181,11 +184,7 @@ def _arc_grid_points(g1: np.ndarray, g2: np.ndarray, idx: np.ndarray, steps: int
 
 
 def aab_inconsistency_oracle(
-    g3: UnitVector3,
-    g1: UnitVector3,
-    g2: UnitVector3,
-    steps: int,
-    chunk: int = 262144,
+    g3: UnitVector3, g1: UnitVector3, g2: UnitVector3, steps: int
 ) -> Radians:
     """Brute-force AAB inconsistency: scan of ``steps`` slerp points.
 
@@ -204,8 +203,8 @@ def aab_inconsistency_oracle(
     if z * z > 1.0 - DEGENERATE_BASE_TOL:
         raise DegenerateBaseError(f"base pair nearly (anti)parallel: g1.g2 = {z!r}")
     best = np.inf
-    for lo in range(0, steps, chunk):
-        idx = np.arange(lo, min(lo + chunk, steps), dtype=np.float64)
+    for lo in range(0, steps, _ORACLE_CHUNK):
+        idx = np.arange(lo, min(lo + _ORACLE_CHUNK, steps), dtype=np.float64)
         pts = _arc_grid_points(g1, g2, idx, steps)
         d = great_circle_distance_batch(np.broadcast_to(g3, pts.shape), pts)
         best = min(best, float(d.min()))

@@ -14,6 +14,7 @@ p.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,8 @@ class UCParams:
             raise ValueError("p must be in [0, 1]")
         if not 0.0 <= self.q <= 1.0:
             raise ValueError("q must be in [0, 1]")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be >= 0")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
 
 
 @dataclass

@@ -379,3 +379,72 @@ class TestScipyLoadedOnlyToFactor:
             "--out", tmp_path / "estimate.txt",
         )
         assert out.splitlines()[-1].split() == ["0", "True"]
+
+
+class TestNonFiniteParameters:
+    """A non-finite parameter is rejected with a one-line message naming it."""
+
+    def one_line_error(self, capsys, code, named):
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_generate_sigma(self, tmp_path, capsys, sigma):
+        code = run(
+            "generate", "--n", 10, "--p", 0.5, "--q", 0.2, "--sigma", sigma, "--seed", 1,
+            "--out-edges", tmp_path / "e.txt", "--out-locations", tmp_path / "l.txt",
+            "--out-labels", tmp_path / "b.csv",
+        )
+        self.one_line_error(capsys, code, "sigma must be finite")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_filter_threshold(self, generated, tmp_path, capsys):
+        stats = tmp_path / "stats.csv"
+        assert run(
+            "screen", "--edges", generated["edges"], "--stat", "naive",
+            "--seed", 1, "--out", stats,
+        ) == 0
+        capsys.readouterr()
+        code = run(
+            "filter", "--edges", generated["edges"], "--stats", stats,
+            "--threshold", "nan", "--out", tmp_path / "pruned.txt",
+        )
+        self.one_line_error(capsys, code, "threshold must not be NaN")
+        assert not (tmp_path / "pruned.txt").exists()
+
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_solve_delta(self, generated, tmp_path, capsys, delta):
+        code = run(
+            "solve", "--edges", generated["edges"], "--solver", "irls", "--delta", delta,
+            "--out", tmp_path / "estimate.txt",
+        )
+        self.one_line_error(capsys, code, "delta must be finite and > 0")
+        assert not (tmp_path / "estimate.txt").exists()
+
+    @pytest.mark.parametrize("baseline", ["0", "-1", "nan", "inf"])
+    def test_evaluate_baseline_error_is_usage_error(self, generated, tmp_path, capsys, baseline):
+        stats = tmp_path / "stats.csv"
+        outdir = tmp_path / "eval"
+        assert run(
+            "screen", "--edges", generated["edges"], "--stat", "naive",
+            "--seed", 1, "--out", stats,
+        ) == 0
+        capsys.readouterr()
+        code = run(
+            "evaluate", "--edges", generated["edges"], "--stats", stats,
+            "--labels", generated["labels"], "--estimate", generated["locations"],
+            "--ground-truth", generated["locations"], "--baseline-error", baseline,
+            "--out-dir", outdir,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: --baseline-error must be finite and > 0\n"
+        assert not outdir.exists()
+
+    def test_json_report_rejects_nan(self, tmp_path):
+        from aabscreen.fileio import write_json_report
+
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            write_json_report({"value": float("nan")}, str(path))
+        assert not path.exists()

@@ -232,3 +232,29 @@ class TestMatchEdgeRows:
         assert match_edge_rows(triangle().edge_array, none, "missing {}").size == 0
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
             match_edge_rows(none, triangle().edge_array, "missing {}")
+
+
+class TestChecks:
+    def test_first_fault_is_earliest_row_then_first_check(self):
+        checks = [np.array([False, False, True, True]), np.array([False, True, True, False])]
+        assert graph_module.first_fault(checks) == (1, 1)
+        assert graph_module.first_fault([checks[0]]) == (2, 0)
+        assert graph_module.first_fault([np.zeros(4, dtype=bool)]) is None
+        assert graph_module.first_fault([np.zeros(0, dtype=bool)] * 2) is None
+
+    def test_pair_checks_take_ids_beyond_int64(self):
+        huge = 10**20
+        i = np.array([0, 2, huge, 0, 0], dtype=object)
+        j = np.array([1, 1, huge + 1, huge, 1], dtype=object)
+        order, out_of_range, repeated = graph_module.pair_checks(3, i, j)
+        assert order.tolist() == [False, True, False, False, False]
+        assert out_of_range[[0, 2, 3]].tolist() == [False, True, True]
+        assert repeated.tolist() == [False, False, False, False, True]
+
+    @pytest.mark.parametrize("n", [graph_module.MAX_VERTICES + 1, 10**20])
+    def test_rejects_vertex_count_beyond_bound(self, n):
+        # the count is checked before anything of size n is allocated
+        with pytest.raises(ValueError, match="at most 2147483647 vertices"):
+            ViewGraph.from_arrays(n, [], [], np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="at most 2147483647 vertices"):
+            ViewGraph(n, [])
