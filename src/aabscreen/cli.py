@@ -203,18 +203,15 @@ def _cmd_evaluate(args) -> int:
     from .graph import match_edge_rows
     from .solvers import align_similarity
 
+    # read, check and align every input before the first write, so that a
+    # bad input leaves nothing in --out-dir
     g = parse_edge_list(args.edges)
     stats = parse_statistics(args.stats)
     labels = parse_labels(args.labels)
     match_edge_rows(stats.edge_array, g.edge_array, "statistics file does not cover edge {}")
-
-    os.makedirs(args.out_dir, exist_ok=True)
     meta = {"edges": args.edges, "stats": args.stats, "labels": args.labels}
-
     roc = roc_auc(stats, labels)
     hist = histogram(stats, labels, bins=args.bins)
-    write_roc_csv(roc, os.path.join(args.out_dir, "roc.csv"), metadata=meta)
-    write_histogram_csv(hist, os.path.join(args.out_dir, "hist.csv"), metadata=meta)
 
     report = {"auc": roc.auc, "inputs": dict(meta)}
     if args.estimate is not None:
@@ -232,6 +229,10 @@ def _cmd_evaluate(args) -> int:
         )
         if args.baseline_error is not None:
             report["improvement_percent"] = improvement(args.baseline_error, mean_err)
+
+    os.makedirs(args.out_dir, exist_ok=True)
+    write_roc_csv(roc, os.path.join(args.out_dir, "roc.csv"), metadata=meta)
+    write_histogram_csv(hist, os.path.join(args.out_dir, "hist.csv"), metadata=meta)
     write_json_report(report, os.path.join(args.out_dir, "errors.json"))
     auc_str = "NA" if roc.auc is None else f"{roc.auc:.6f}"
     print(f"evaluation written to {args.out_dir} (auc={auc_str})")

@@ -74,6 +74,13 @@ _PAIR_MESSAGES = (
 )
 
 
+def _is_int(token: str) -> bool:
+    """An optional minus and digits, as the writers emit ids, flags and
+    counts; Python's int() would also take a plus sign, underscores and
+    surrounding blanks.  Files are ASCII, so isdigit() means 0-9."""
+    return (token[1:] if token[:1] == "-" else token).isdigit()
+
+
 def _convert(kind, tokens):
     """``kind`` (int, float or str) of each token, and the mask of those it
     rejects, which read as ``kind(0)``.  Ints come as an int64 array, or as
@@ -82,6 +89,8 @@ def _convert(kind, tokens):
     values, bad = [], np.zeros(len(tokens), dtype=bool)
     for k, token in enumerate(tokens):
         try:
+            if kind is int and not _is_int(token):
+                raise ValueError(token)
             values.append(kind(token))
         except ValueError:
             values.append(kind(0))
@@ -112,10 +121,11 @@ class _Reader:
         # the version must match whole: "v1" does not accept "v10"
         if not first.startswith(header) or first[len(header) :][:1].strip():
             self.fail(1, f"expected header {header!r}")
-        try:
-            self.n = n = int(first.split("n=")[1].split()[0])
-        except (IndexError, ValueError):
-            raise FileFormatError(f"{path}:1: header is missing n=<count>") from None
+        # the count is a whole token; a negative one gets a range message
+        counts = [t[2:] for t in first[len(header) :].split() if t[:2] == "n=" and _is_int(t[2:])]
+        if not counts:
+            self.fail(1, "header is missing n=<count>")
+        self.n = n = int(counts[0])
         if n < 2:
             self.fail(1, f"header n={n}: need at least 2 vertices")
         if n > MAX_VERTICES:

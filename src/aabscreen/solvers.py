@@ -13,15 +13,17 @@ is globally minimized by near-collapsed configurations once a sizable
 fraction of directions is corrupted, and plain reweighting of the spectral
 problem descends straight into them.
 
-Both solves are dense and factor instead of diagonalizing.  The spectral
-solve assembles the 3N x 3N form in one float64 array, its only O(N^2)
-memory (72 MB at N = 1000), adds the centroid lift and a tiny diagonal
-shift in place, Cholesky-factors it in place, and finds the two smallest
-eigenpairs by shift-invert block Krylov iteration on that one factor.  Each
-IRLS round builds its N x N Laplacian with one bincount and solves it with
-one Cholesky factorization.  A factorization that fails raises
+The spectral solve never forms a matrix.  It finds the two smallest
+eigenpairs of the 3N x 3N form A by block Krylov iteration on c I - A,
+where c is the Gershgorin bound on A's spectrum; rigid translations, A's
+null space, are projected out of every block.  Its products with A are a gather and
+one segment sum over the edges, so its memory is O(m + N k) for k Krylov
+vectors (110 to 150 at N = 1000) instead of the 72 MB of the dense form at
+N = 1000, and it loads no scipy.  Each IRLS round builds its N x N
+Laplacian with one bincount and solves it with one Cholesky factorization
+(scipy's, imported on first use); a factorization that fails raises
 DegenerateInstanceError.  At the densities screening leaves (tens of edges
-per vertex) a sparse LU of these matrices fills most of the dense one, and
+per vertex) a sparse LU of the Laplacian fills most of the dense one, and
 preconditioned CG needs hundreds of iterations per solve.
 
 Locations are recoverable only up to translation and scale (and a global
@@ -56,19 +58,17 @@ _GAP_TOL = 1e-10
 
 _CONVERGENCE_TOL = 1e-10
 
-# Diagonal shift, relative to the centroid lift, that keeps the lifted form
-# positive definite when its smallest eigenvalue is 0.
-_SHIFT = 1e-8
-
 # Krylov eigensolver: start vectors, steps between convergence checks,
-# residual tolerance relative to the largest Ritz value, and basis cap.
+# residual tolerance relative to the largest Ritz value, error bound of the
+# second Ritz value relative to the gap, and basis cap.
 _KRYLOV_BLOCK = 2
 _KRYLOV_CHECK = 4
 _KRYLOV_TOL = 1e-13
+_GAP_RTOL = 1e-10
 _KRYLOV_MAX_COLS = 400
 
-# Rows per block when scanning the dense form for its largest row sum.
-_ROW_BLOCK = 256
+# Floor of the distance between Ritz values in the second pair's error bound.
+_TINY = 1e-300
 
 
 class DegenerateInstanceError(RuntimeError):
@@ -108,32 +108,12 @@ def _vertex_positions(g: ViewGraph, verts: np.ndarray) -> tuple[np.ndarray, np.n
     return pos, pos[g.edge_array[:, 0]], pos[g.edge_array[:, 1]]
 
 
-def _assemble(g: ViewGraph, verts: np.ndarray) -> np.ndarray:
-    """Dense 3N x 3N quadratic form of the projection objective.
-
-    Edge e between rows i and j adds its projector P_e to the (i, i) and
-    (j, j) blocks and -P_e to the (i, j) and (j, i) blocks; one bincount over
-    flat indices sums all of them straight into the result.
-    """
-    _, ip, jp = _vertex_positions(g, verts)
-    d = g.direction_array
-    proj = np.eye(3)[None, :, :] - d[:, :, None] * d[:, None, :]
-
-    n3 = 3 * verts.size
-    comp = np.arange(3)
-    rows = 3 * np.stack([ip, jp, ip, jp])[:, :, None, None] + comp[:, None]
-    cols = 3 * np.stack([ip, jp, jp, ip])[:, :, None, None] + comp
-    vals = np.stack([proj, proj, -proj, -proj])
-    flat = np.bincount((rows * n3 + cols).ravel(), weights=vals.ravel(), minlength=n3 * n3)
-    return flat.reshape(n3, n3)
-
-
 def _cholesky(a: np.ndarray, what: str):
     """Cholesky-factor the symmetric ``a`` in its own storage; returns the
     function b -> a^-1 b.
 
     The one use of scipy: it is imported here, on the first factorization,
-    so that callers which only align or evaluate never pay its import.
+    so that callers which never run IRLS never pay its import.
     """
     import scipy.linalg
 
@@ -146,55 +126,114 @@ def _cholesky(a: np.ndarray, what: str):
     return partial(scipy.linalg.cho_solve, factor, check_finite=False)
 
 
-def _top_inverse_pairs(solve, dim: int) -> np.ndarray:
-    """Eigenvectors of the two largest eigenvalues of the inverse of a
-    symmetric positive definite matrix, given as the ``solve`` that
-    ``_cholesky`` returns, as the columns of a (dim, 2) array.
+def _form(g: ViewGraph, verts: np.ndarray):
+    """Matrix-vector product with the 3N x 3N form A of the projection
+    objective, and the Gershgorin bound c on A's largest eigenvalue; returns
+    (matvec, c).
 
-    Block Krylov iteration on the inverse from a fixed start block, with
-    full reorthogonalization.  Every few steps a Rayleigh-Ritz projection
-    gives the two leading Ritz pairs; it stops once both residuals are below
-    ``_KRYLOV_TOL`` times the largest Ritz value, or once the basis spans the
-    whole space.  A block of two finds a doubled leading eigenvalue, the
-    signature of a degenerate instance, which a single start vector cannot.
+    Edge e between rows i and j adds P_e x_i - P_e x_j to row i and
+    P_e x_j - P_e x_i to row j.  So each row is its diagonal block, the sum
+    of its edges' projectors, times its own location, minus the projected
+    locations at the far ends of its half-edges.  The half-edges are ordered
+    by their row, so one segment sum adds those; each solved vertex has an
+    edge, so no segment is empty.  ``matvec`` takes and returns (b, 3N)
+    arrays, one vector per row; inside, components lead, so every step runs
+    over contiguous half-edge arrays.
     """
-    cap = min(dim, _KRYLOV_MAX_COLS)
-    # column-major, so that the columns not reached take no memory
-    basis = np.empty((dim, cap), order="F")
-    images = np.empty((dim, cap), order="F")
-    block = min(_KRYLOV_BLOCK, dim)
-    basis[:, :block] = np.linalg.qr(np.random.default_rng(0).standard_normal((dim, block)))[0]
+    n = verts.size
+    _, ip, jp = _vertex_positions(g, verts)
+    ends = np.concatenate([ip, jp])
+    order = np.argsort(ends, kind="stable")
+    far = np.concatenate([jp, ip])[order]
+    gam = g.direction_array[order % ip.size]
+    starts = np.searchsorted(ends[order], np.arange(n))
+
+    proj = np.eye(3)[None, :, :] - gam[:, :, None] * gam[:, None, :]
+    diag = np.add.reduceat(proj, starts)
+    rows = np.abs(diag).sum(axis=2) + np.add.reduceat(np.abs(proj).sum(axis=2), starts)
+    c = float(rows.max())
+    diag = np.ascontiguousarray(diag.transpose(1, 2, 0))
+    gam = np.ascontiguousarray(gam.T)
+
+    def matvec(q: np.ndarray) -> np.ndarray:
+        x = np.ascontiguousarray(q.reshape(q.shape[0], n, 3).transpose(0, 2, 1))
+        xf = np.take(x, far, axis=2)
+        xf -= np.einsum("bkh,kh->bh", xf, gam)[:, None, :] * gam
+        y = np.einsum("kln,bln->bkn", diag, x) - np.add.reduceat(xf, starts, axis=2)
+        return y.transpose(0, 2, 1).reshape(q.shape)
+
+    return matvec, c
+
+
+def _without_translations(w: np.ndarray) -> np.ndarray:
+    """Rows of ``w`` minus their mean location, in place."""
+    x = w.reshape(w.shape[0], -1, 3)
+    x -= x.mean(axis=1, keepdims=True)
+    return w
+
+
+def _top_pairs(apply, dim: int) -> np.ndarray:
+    """Eigenvectors of the two largest eigenvalues of the symmetric
+    ``apply`` on the vectors free of translations, as the columns of a
+    (dim, 2) array.
+
+    Block Krylov iteration from a fixed start block, with full
+    reorthogonalization: each image is orthogonalized twice against the
+    basis, and the coefficients fill the next block column of the projected
+    matrix.  What is left over is the part of the image outside the basis;
+    it gives every Ritz pair's residual without applying the operator again,
+    and after one more pass and a QR, the next block.  The first pair must
+    reach a residual of ``_KRYLOV_TOL`` times the largest Ritz value.  The
+    second only feeds the gap test, and its Ritz value is off by about its
+    residual squared over its distance to the third, so that bound must be
+    below ``_GAP_RTOL`` times the gap.  The loop also stops once the basis
+    spans every translation-free vector.  A block of two finds a doubled
+    lowest eigenvalue, the signature of a degenerate instance, which a
+    single start vector cannot.
+    """
+    free = dim - 3
+    cap = min(free, _KRYLOV_MAX_COLS)
+    basis = np.empty((cap, dim))
+    projected = np.empty((cap, cap))
+    block = min(_KRYLOV_BLOCK, free)
+    start = _without_translations(np.random.default_rng(0).standard_normal((block, dim)))
+    basis[:block] = np.linalg.qr(start.T)[0].T
     k = 0
     step = 0
     while True:
-        q = basis[:, k : k + block]
-        w = solve(q)
-        images[:, k : k + block] = w
+        w = apply(basis[k : k + block])
+        done = basis[: k + block]
+        coef = np.zeros((k + block, block))
+        for _ in range(2):
+            part = done @ w.T
+            w -= part.T @ done
+            coef += part
+        projected[: k + block, k : k + block] = coef
+        projected[k : k + block, :k] = coef[:k].T
+        projected[k : k + block, k : k + block] = (coef[k:] + coef[k:].T) / 2.0
         k += block
         step += 1
         if step % _KRYLOV_CHECK == 0 or k == cap:
-            h = basis[:, :k].T @ images[:, :k]
-            nu, y = np.linalg.eigh(h + h.T)
-            nu, y = nu[:-3:-1] / 2.0, y[:, :-3:-1]
-            x = basis[:, :k] @ y
-            res = np.linalg.norm(images[:, :k] @ y - x * nu, axis=0)
-            if res.max() <= _KRYLOV_TOL * nu[0] or k == dim:
-                return x
+            theta, y = np.linalg.eigh(projected[:k, :k])
+            theta, y = theta[::-1], y[:, ::-1]
+            res = np.linalg.norm(w.T @ y[k - block : k, :2], axis=0)
+            off = res[1] ** 2 / max(theta[1] - theta[2], _TINY)
+            if k == free or (
+                res[0] <= _KRYLOV_TOL * theta[0]
+                and off <= _GAP_RTOL * max(theta[0] - theta[1], _GAP_TOL)
+            ):
+                return basis[:k].T @ y[:, :2]
             if k == cap:
                 raise DegenerateInstanceError(
                     f"spectral solve did not converge within {cap} Krylov vectors"
                 )
-        # twice on each side of the QR, so that a nearly dependent new block
-        # cannot bring back directions the basis already holds
-        done = basis[:, :k]
+        # once more after the QR, so that a nearly dependent new block cannot
+        # bring back directions the basis already holds
         block = min(block, cap - k)
-        w = w[:, :block]
-        for _ in range(2):
-            w = w - done @ (done.T @ w)
-        w = np.linalg.qr(w)[0]
-        for _ in range(2):
-            w = w - done @ (done.T @ w)
-        basis[:, k : k + block] = np.linalg.qr(w)[0]
+        done = basis[:k]
+        w = np.linalg.qr(_without_translations(w[:block]).T)[0].T
+        w -= (w @ done.T) @ done
+        basis[k : k + block] = np.linalg.qr(_without_translations(w).T)[0].T
 
 
 def _edge_residuals(g: ViewGraph, pos: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -208,36 +247,21 @@ def _edge_residuals(g: ViewGraph, pos: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _lowest_eigenpairs(g: ViewGraph, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two smallest eigenpairs of the centroid-lifted form.
+    """Two smallest eigenpairs of the form on translation-free locations.
 
     Returns (eigenvalues, eigenvectors as the columns of a (3N, 2) array).
+    Rigid translations span the form's null space; they are kept out of the
+    Krylov basis, and the largest eigenvalues of c I - A on the rest belong
+    to the smallest of A.  The eigenvalues are the Rayleigh quotients of the
+    unshifted form, so c cancels from the gap test.
     """
-    n = verts.size
-    a = _assemble(g, verts)
-
-    # Rigid translations span a 3-dim null space of the form; lift them with
-    # a centroid penalty so the smallest eigenvector is automatically
-    # centroid-free.  Scanning in row blocks keeps the temporary of
-    # absolute values small.
-    rows = range(0, 3 * n, _ROW_BLOCK)
-    mu = 2.0 * max(float(np.abs(a[r : r + _ROW_BLOCK]).sum(axis=1).max()) for r in rows) + 1.0
-    blocks = a.reshape(n, 3, n, 3)
-    for c in range(3):
-        blocks[:, c, :, c] += mu / n
-
-    # Shift-invert: the largest eigenvalues of the inverse belong to the
-    # smallest of the form.  The shift keeps the factorization defined when
-    # the smallest eigenvalue is 0 (noise-free directions); eigenvalues are
-    # taken as Rayleigh quotients of the unshifted form, so it cancels.
-    a.reshape(-1)[:: 3 * n + 1] += _SHIFT * mu
-    vecs = _top_inverse_pairs(_cholesky(a, "constrained spectral form"), 3 * n)
-
+    matvec, c = _form(g, verts)
+    vecs = _top_pairs(lambda q: c * q - matvec(q), 3 * verts.size)
     pos, _, _ = _vertex_positions(g, verts)
     evals = np.empty(2)
     for k in range(2):
-        t = vecs[:, k].reshape(n, 3)
-        sq = _edge_residuals(g, pos, t) ** 2
-        evals[k] = float(sq.sum()) + mu / n * float(np.sum(t.sum(axis=0) ** 2))
+        t = vecs[:, k].reshape(-1, 3)
+        evals[k] = float(np.sum(_edge_residuals(g, pos, t) ** 2)) / float(np.sum(t * t))
     return evals, vecs
 
 

@@ -4,8 +4,9 @@ The spectral solve assembles the form as an (N, N, 3, 3) block array with
 ``np.add.at``, lifts translations with a ``np.kron`` penalty and takes the
 two smallest eigenpairs from a full ``scipy.linalg.eigh``.  Each IRLS round
 builds its Laplacian with ``np.add.at`` and solves it with
-``scipy.linalg.solve``.  The library factors instead of diagonalizing; these
-copies are the numeric oracles it is checked against.
+``scipy.linalg.solve``.  The library's spectral solve is matrix-free and its
+IRLS rounds factor; these copies are the numeric oracles both are checked
+against.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ import time
 
 import numpy as np
 
+import aabscreen
 from aabscreen.aabstats import AABConfig, ir_aab, naive_aab
 from aabscreen.evaluation import expectation_gap, label_edges, roc_auc
 from aabscreen.screening import ScreeningPolicy, filter_edges, solvable_component
@@ -269,8 +270,12 @@ def test_criterion_7_invariant_suites():
 def test_criterion_8_determinism(tmp_path):
     t0 = time.time()
 
+    # the stages run as fresh interpreters that must import this aabscreen
+    src = os.path.dirname(os.path.dirname(aabscreen.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
     def run_pipeline(tag: str, threads: str):
-        env = dict(os.environ, AAB_THREADS=threads)
+        env = dict(os.environ, AAB_THREADS=threads, PYTHONPATH=path)
         edges = tmp_path / f"edges-{tag}.txt"
         stats = tmp_path / f"stats-{tag}.csv"
         subprocess.run(

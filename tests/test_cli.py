@@ -165,6 +165,30 @@ class TestSubcommands:
         assert err.startswith("error: ") and "no edge has a supported statistic" in err
         assert not (tmp_path / "eval" / "roc.csv").exists()
 
+    def test_evaluate_bad_estimate_writes_nothing(self, generated, tmp_path, capsys):
+        stats = tmp_path / "stats.csv"
+        assert run(
+            "screen", "--edges", generated["edges"], "--stat", "naive",
+            "--seed", 1, "--out", stats,
+        ) == 0
+        estimate = tmp_path / "estimate.txt"
+        assert run("solve", "--edges", generated["edges"], "--solver", "ls", "--out", estimate) == 0
+        lines = estimate.read_text().splitlines()
+        row = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+        lines[row] = " ".join(lines[row].split()[:3])
+        estimate.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run(
+            "evaluate", "--edges", generated["edges"], "--stats", stats,
+            "--labels", generated["labels"], "--estimate", estimate,
+            "--ground-truth", generated["locations"], "--out-dir", tmp_path / "eval",
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {estimate}:{row + 1}: expected 4 fields, got 3\n"
+        assert not (tmp_path / "eval" / "roc.csv").exists()
+        assert not (tmp_path / "eval" / "hist.csv").exists()
+
     def test_verify_formula_bytes(self, tmp_path):
         out = tmp_path / "verify.json"
         assert run(
@@ -346,8 +370,13 @@ def run_fresh(code: str, *argv) -> str:
 
 
 class TestScipyLoadedOnlyToFactor:
-    """scipy.linalg is imported on the first factorization, so stages that
-    never factor never pay its import."""
+    """scipy.linalg is imported on the first factorization, which only IRLS
+    does, so the other stages, and the spectral solve, never pay its import."""
+
+    SOLVE_AND_REPORT = (
+        "import sys; from aabscreen.cli import main; "
+        "code = main(sys.argv[1:]); print(code, 'scipy' in sys.modules)"
+    )
 
     def test_bare_solvers_import(self):
         out = run_fresh("import sys, aabscreen.solvers; print('scipy' in sys.modules)")
@@ -362,8 +391,7 @@ class TestScipyLoadedOnlyToFactor:
         ) == 0
         assert run("solve", "--edges", generated["edges"], "--solver", "ls", "--out", estimate) == 0
         out = run_fresh(
-            "import sys; from aabscreen.cli import main; "
-            "code = main(sys.argv[1:]); print(code, 'scipy' in sys.modules)",
+            self.SOLVE_AND_REPORT,
             "evaluate", "--edges", generated["edges"], "--stats", stats,
             "--labels", generated["labels"], "--estimate", estimate,
             "--ground-truth", generated["locations"], "--out-dir", tmp_path / "eval",
@@ -371,14 +399,21 @@ class TestScipyLoadedOnlyToFactor:
         assert out.splitlines()[-1].split() == ["0", "False"]
         assert (tmp_path / "eval" / "errors.json").exists()
 
-    def test_solve_stage_loads_it(self, generated, tmp_path):
+    def solve_loads_scipy(self, generated, tmp_path, solver) -> bool:
         out = run_fresh(
-            "import sys; from aabscreen.cli import main; "
-            "code = main(sys.argv[1:]); print(code, 'scipy' in sys.modules)",
-            "solve", "--edges", generated["edges"], "--solver", "ls",
+            self.SOLVE_AND_REPORT,
+            "solve", "--edges", generated["edges"], "--solver", solver,
             "--out", tmp_path / "estimate.txt",
         )
-        assert out.splitlines()[-1].split() == ["0", "True"]
+        code, loaded = out.splitlines()[-1].split()
+        assert code == "0"
+        return loaded == "True"
+
+    def test_solve_stage_loads_it(self, generated, tmp_path):
+        assert self.solve_loads_scipy(generated, tmp_path, "irls")
+
+    def test_spectral_solve_stage_does_not(self, generated, tmp_path):
+        assert not self.solve_loads_scipy(generated, tmp_path, "ls")
 
 
 class TestNonFiniteParameters:

@@ -111,6 +111,16 @@ MESSAGES = [
     ("labels", ["0,1,nan,1"], 3, "angle of edge (0, 1) is not finite"),
     ("labels", ["0,1,0.5,0", "i,j,angle,corrupted", "0,2,-inf,0"], 5,
      "angle of edge (0, 2) is not finite"),
+    # ids and flags are an optional minus and digits, nothing else
+    ("edges", ["0 1_0 +1 0_0 -0"], 2, "could not parse vertex ids or direction components"),
+    ("edges", ["+0 1 1 0 0"], 2, "could not parse vertex ids or direction components"),
+    ("edges", ["0 1 1 0 0", "0 2_0 1 0 0"], 3, "could not parse vertex ids or direction components"),
+    ("locations", ["+1 0 0 0"], 2, "could not parse vertex id or coordinates"),
+    ("locations", ["1_0 0 0 0"], 2, "could not parse vertex id or coordinates"),
+    ("stats", ["0, 1,0.5,0"], 3, "could not parse row"),
+    ("stats", ["0,1,0.5,+1"], 3, "could not parse row"),
+    ("labels", ["0,1,0.5,1_0"], 3, "could not parse row"),
+    ("labels", ["0,--1,0.5,0"], 3, "could not parse row"),
 ]
 
 
@@ -138,6 +148,12 @@ def test_message(tmp_path, fmt, lines, where, message):
         ("stats", "# aab-stats v1", "header is missing n=<count>"),
         ("labels", "# aab-labels v1 n=three", "header is missing n=<count>"),
         ("edges", "# aab-edges v1 n=1", "header n=1: need at least 2 vertices"),
+        # the count is one whole n=<digits> token
+        ("edges", "# aab-edges v1 xn=12", "header is missing n=<count>"),
+        ("locations", "# aab-locations v1 n=+3", "header is missing n=<count>"),
+        ("stats", "# aab-stats v1 n=1_0", "header is missing n=<count>"),
+        ("labels", "# aab-labels v1 n=3x", "header is missing n=<count>"),
+        ("edges", "# aab-edges v1 n= 5", "header is missing n=<count>"),
     ],
 )
 def test_header_message(tmp_path, fmt, header, message):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from aabscreen.graph import ViewGraph
 from aabscreen.screening import ScreeningPolicy, filter_edges, solvable_component
 from aabscreen.solvers import (
     DegenerateInstanceError,
-    _assemble,
+    _form,
     _lowest_eigenpairs,
     _solve_spectral,
     align_similarity,
@@ -93,8 +94,8 @@ class TestSpectral:
         est = solve_ls_spectral(g)
         verts = np.array(sorted(est.locations))
         t = np.array([est.locations[v] for v in verts]).ravel()
-        a = _assemble(g, verts)
-        quad = float(t @ a @ t)
+        matvec, _ = _form(g, verts)
+        quad = float(t @ matvec(t[None])[0])
         assert est.residuals.shape == (g.num_edges,)
         ssq = float((est.residuals**2).sum())
         assert quad == pytest.approx(ssq, abs=1e-9)
@@ -102,7 +103,7 @@ class TestSpectral:
     def test_quadratic_form_matches_direct_sum(self, rng):
         g, _ = generate_uc(UCParams(n=25, p=0.6, q=0.3, sigma=0.1, seed=5))
         verts = g.active_vertices()
-        a = _assemble(g, verts)
+        matvec, _ = _form(g, verts)
         pos = {int(v): k for k, v in enumerate(verts)}
         x = rng.normal(size=(verts.size, 3))
         direct = 0.0
@@ -110,7 +111,7 @@ class TestSpectral:
             diff = x[pos[i]] - x[pos[j]]
             rej = diff - np.dot(diff, gam) * gam
             direct += float(np.dot(rej, rej))
-        quad = float(x.ravel() @ a @ x.ravel())
+        quad = float(x.ravel() @ matvec(x.reshape(1, -1))[0])
         assert quad == pytest.approx(direct, abs=1e-9)
 
 
@@ -187,10 +188,17 @@ ORACLE_INSTANCES = ["k4", "k20", "uc60", "uc200"]
 
 
 class TestDenseOracle:
-    def test_form_equals_block_assembly(self):
-        g = oracle_instance("uc60")
+    @pytest.mark.parametrize("name", ORACLE_INSTANCES)
+    def test_matvec_equals_dense_form(self, name):
+        g = oracle_instance(name)
         verts = g.active_vertices()
-        assert np.array_equal(_assemble(g, verts), dense_form(g, verts))
+        a = dense_form(g, verts)
+        x = np.random.default_rng(3).standard_normal((3, a.shape[0]))
+        matvec, c = _form(g, verts)
+        assert np.abs(matvec(x) - x @ a).max() <= 1e-13 * np.abs(a).sum(axis=1).max()
+        # c is the Gershgorin bound: the largest absolute row sum of the form
+        assert c == pytest.approx(np.abs(a).sum(axis=1).max(), rel=1e-12)
+        assert np.linalg.eigvalsh(a).max() <= c
 
     @pytest.mark.parametrize("name", ORACLE_INSTANCES)
     def test_spectral_matches_dense(self, name):
@@ -236,12 +244,34 @@ class TestDenseOracle:
             dense_solve_spectral(g)
 
 
+def test_spectral_memory_far_below_dense_form():
+    """At N = 1000 the dense 3N x 3N form alone would take 72 MB."""
+    rng = np.random.default_rng(5)
+    n = 1000
+    t = rng.normal(size=(n, 3))
+    flat = np.unique(rng.integers(0, n * n, size=40_000))
+    i, j = flat // n, flat % n
+    keep = i < j
+    i, j = i[keep], j[keep]
+    d = t[i] - t[j] + 0.05 * rng.normal(size=(i.size, 3))
+    g = ViewGraph.from_arrays(n, i, j, d / np.linalg.norm(d, axis=1, keepdims=True))
+    assert g.active_vertices().size == n
+
+    tracemalloc.start()
+    try:
+        solve_ls_spectral(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
+
+
 class TestFailedFactorization:
-    def test_indefinite_spectral_form(self, monkeypatch):
-        g = oracle_instance("k4")
-        monkeypatch.setattr(solvers, "_assemble", lambda g, verts: -1e3 * np.eye(3 * verts.size))
-        with pytest.raises(DegenerateInstanceError, match="not positive definite"):
-            solve_ls_spectral(g)
+    def test_spectral_non_convergence(self, monkeypatch):
+        # the basis cap cuts the iteration before the residuals are small
+        monkeypatch.setattr(solvers, "_KRYLOV_MAX_COLS", 8)
+        with pytest.raises(DegenerateInstanceError, match="did not converge within 8 Krylov vectors"):
+            solve_ls_spectral(oracle_instance("uc60"))
 
     def test_failed_laplacian_factorization(self, monkeypatch):
         g = oracle_instance("k20")
@@ -258,14 +288,14 @@ class TestFailedFactorization:
 
     def test_cli_reports_one_line(self, monkeypatch, tmp_path, capsys):
         edges = tmp_path / "edges.txt"
-        write_edge_list(oracle_instance("k4"), str(edges))
-        monkeypatch.setattr(solvers, "_assemble", lambda g, verts: -1e3 * np.eye(3 * verts.size))
+        write_edge_list(oracle_instance("uc60"), str(edges))
+        monkeypatch.setattr(solvers, "_KRYLOV_MAX_COLS", 8)
         out = tmp_path / "estimate.txt"
         code = main(["solve", "--edges", str(edges), "--solver", "ls", "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1
         assert err.count("\n") == 1 and err.startswith("error: ")
-        assert "not positive definite" in err and "Traceback" not in err
+        assert "did not converge" in err and "Traceback" not in err
         assert not out.exists()
 
 
