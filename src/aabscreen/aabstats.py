@@ -66,6 +66,10 @@ class TripleCache:
     multiplicities sum to s less its dropped draws.  Arrays are parallel;
     ``edge_rows``/``rows_jk``/``rows_ki`` index the graph's canonical edge
     arrays.  Rows are ordered by edge row, then by k.
+
+    ``inconsistencies`` is float64.  The five integer fields share one
+    dtype, int32 unless n, m or s exceeds 2**31 - 1 (then intp), so a row
+    takes 28 bytes.
     """
 
     edge_rows: np.ndarray
@@ -194,14 +198,28 @@ def _sample_block(g: ViewGraph, cfg: AABConfig, rows: np.ndarray):
     return _triangles(g, seen + lo), counts[seen]
 
 
+def _index_dtype(n: int, m: int, s: int) -> np.dtype:
+    """Dtype of the cache's integer fields: their values lie below n or m,
+    or are at most s, so int32 holds them while all three fit."""
+    return np.dtype(np.int32 if max(n, m, s) <= np.iinfo(np.int32).max else np.intp)
+
+
 def _build_cache(g: ViewGraph, cfg: AABConfig) -> TripleCache:
     """Sample triangles, redraw degenerate ones, evaluate each distinct
-    retained triangle once."""
+    retained triangle once.
+
+    Each field is concatenated from its per-block parts on its own, and
+    those parts are released before the next field is, so the parts and
+    the finished cache overlap by one field only.
+    """
     indptr, _ = g.common_neighbor_csr
     supported = np.flatnonzero(np.diff(indptr))
     per_block = max(1, _BLOCK_ROWS // cfg.s)
     d = g.direction_array
-    parts = []
+    idx = _index_dtype(g.n, g.num_edges, cfg.s)
+    # edge_rows, neighbors, rows_jk, rows_ki, inconsistencies, multiplicity
+    dtypes = (idx,) * 4 + (np.dtype(np.float64), idx)
+    parts = tuple([] for _ in dtypes)
     for b in range(0, supported.size, per_block):
         tri, mult = _sample_block(g, cfg, supported[b : b + per_block])
         edge_rows, k, rows_jk, rows_ki = tri
@@ -211,10 +229,16 @@ def _build_cache(g: ViewGraph, cfg: AABConfig) -> TripleCache:
             g.directions_of_rows(rows_jk, j_arr, k),
             g.directions_of_rows(rows_ki, k, i_arr),
         )
-        parts.append((edge_rows, k, rows_jk, rows_ki, inc, mult))
-    # the empty arrays fix the dtypes when no edge is supported
-    empty = (np.zeros(0, np.intp),) * 4 + (np.zeros(0), np.zeros(0, np.intp))
-    return TripleCache(*(np.concatenate(a) for a in zip(empty, *parts)))
+        for field_parts, a, dtype in zip(parts, (*tri, inc, mult), dtypes):
+            field_parts.append(a.astype(dtype, copy=False))
+
+    def joined(field_parts, dtype):
+        # the empty array fixes the dtype when no edge is supported
+        whole = np.concatenate([np.zeros(0, dtype), *field_parts])
+        field_parts.clear()
+        return whole
+
+    return TripleCache(*(joined(p, dtype) for p, dtype in zip(parts, dtypes)))
 
 
 def _segment_mean(cache: TripleCache, num_edges: int) -> np.ndarray:
@@ -280,10 +304,18 @@ def ir_aab(g: ViewGraph, cfg: AABConfig, keep_weight_sums: bool = False) -> Edge
     supported_mask = ~np.isnan(vals)
     per_iter = np.empty((cfg.T + 1, m_edges))
     per_iter[0] = vals
-    # cache rows come grouped by edge: group starts and sizes for the
-    # per-edge minimum
-    starts = np.flatnonzero(np.diff(cache.edge_rows, prepend=-1))
-    sizes = np.diff(starts, append=cache.edge_rows.size)
+    rows = cache.edge_rows
+    # cache rows come grouped by edge: group starts and their edges, for
+    # the per-edge minimum
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    supported_rows = rows[starts]
+    # each round runs in two row buffers and one edge buffer; the gathers
+    # use mode="clip" (every index is in range) so that they write to
+    # ``out`` directly instead of through a temporary, and the integer
+    # multiplicities are cast in the ufunc's chunks, not copied whole
+    w = np.empty(rows.size)
+    per_row = np.empty(rows.size)
+    edge_min = np.empty(m_edges)
 
     current = big
     for t in range(1, cfg.T + 1):
@@ -294,18 +326,25 @@ def ir_aab(g: ViewGraph, cfg: AABConfig, keep_weight_sums: bool = False) -> Edge
         lookup = vals.copy()
         if not supported_mask.all():
             lookup[~supported_mask] = np.median(vals[supported_mask])
-        # shifted by the edge's smallest exponent: that row keeps weight
-        # mult >= 1, so an edge's weights never all underflow
-        z = tau * np.maximum(lookup[cache.rows_ki], lookup[cache.rows_jk])
-        z -= np.repeat(np.minimum.reduceat(z, starts), sizes)
-        w = cache.multiplicity * np.exp(-z)
-        sums = np.bincount(cache.edge_rows, weights=w, minlength=m_edges)
-        wn = w / sums[cache.edge_rows]
+        # z = tau * max(previous of {k, i}, previous of {j, k}), shifted by
+        # the edge's smallest z: that row keeps weight mult >= 1, so an
+        # edge's weights never all underflow
+        np.take(lookup, cache.rows_ki, out=w, mode="clip")
+        np.take(lookup, cache.rows_jk, out=per_row, mode="clip")
+        np.maximum(w, per_row, out=w)
+        w *= tau
+        edge_min[supported_rows] = np.minimum.reduceat(w, starts)
+        w -= np.take(edge_min, rows, out=per_row, mode="clip")
+        # w = mult * exp(-z), then normalized per edge
+        np.negative(w, out=w)
+        np.exp(w, out=w)
+        w *= cache.multiplicity
+        sums = np.bincount(rows, weights=w, minlength=m_edges)
+        w /= np.take(sums, rows, out=per_row, mode="clip")
         if keep_weight_sums:
-            diag.weight_sums.append(np.bincount(cache.edge_rows, weights=wn, minlength=m_edges))
-        new_vals = np.bincount(
-            cache.edge_rows, weights=wn * cache.inconsistencies, minlength=m_edges
-        )
+            diag.weight_sums.append(np.bincount(rows, weights=w, minlength=m_edges))
+        w *= cache.inconsistencies
+        new_vals = np.bincount(rows, weights=w, minlength=m_edges)
         vals = np.where(supported_mask, new_vals, np.nan)
         per_iter[t] = vals
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import string
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -81,15 +82,24 @@ def _is_int(token: str) -> bool:
     return (token[1:] if token[:1] == "-" else token).isdigit()
 
 
+def _is_plain(text: str) -> bool:
+    """No underscore and no blank (``string.whitespace``), which Python's
+    float() takes inside or around a number and no writer emits."""
+    return not any(c in text for c in "_" + string.whitespace)
+
+
 def _convert(kind, tokens):
     """``kind`` (int, float or str) of each token, and the mask of those it
     rejects, which read as ``kind(0)``.  Ints come as an int64 array, or as
     an object array if one does not fit; such an id or flag fails its range
     or 0/1 check."""
     values, bad = [], np.zeros(len(tokens), dtype=bool)
+    # one scan of all float tokens; only a file that fails it pays for
+    # testing each token
+    loose = kind is float and not _is_plain("".join(tokens))
     for k, token in enumerate(tokens):
         try:
-            if kind is int and not _is_int(token):
+            if (kind is int and not _is_int(token)) or (loose and not _is_plain(token)):
                 raise ValueError(token)
             values.append(kind(token))
         except ValueError:

@@ -16,12 +16,13 @@ problem descends straight into them.
 The spectral solve never forms a matrix.  It finds the two smallest
 eigenpairs of the 3N x 3N form A by block Krylov iteration on c I - A,
 where c is the Gershgorin bound on A's spectrum; rigid translations, A's
-null space, are projected out of every block.  Its products with A are a gather and
-one segment sum over the edges, so its memory is O(m + N k) for k Krylov
-vectors (110 to 150 at N = 1000) instead of the 72 MB of the dense form at
-N = 1000, and it loads no scipy.  Each IRLS round builds its N x N
-Laplacian with one bincount and solves it with one Cholesky factorization
-(scipy's, imported on first use); a factorization that fails raises
+null space, are projected out of every block.  Its products with A are a
+gather and one segment sum over the edges, so its memory is O(m + N k) for
+k Krylov vectors (110 to 150 at N = 1000, allocated 32 at a time) instead
+of the 72 MB of the dense form at N = 1000, and it loads no scipy.  Each
+IRLS round refills one N x N array with its Laplacian and solves it with
+one Cholesky factorization in that array (scipy's, imported on first use);
+non-finite weights or a factorization that fails raise
 DegenerateInstanceError.  At the densities screening leaves (tens of edges
 per vertex) a sparse LU of the Laplacian fills most of the dense one, and
 preconditioned CG needs hundreds of iterations per solve.
@@ -60,12 +61,14 @@ _CONVERGENCE_TOL = 1e-10
 
 # Krylov eigensolver: start vectors, steps between convergence checks,
 # residual tolerance relative to the largest Ritz value, error bound of the
-# second Ritz value relative to the gap, and basis cap.
+# second Ritz value relative to the gap, basis cap, and the number of
+# basis vectors allocated at a time.
 _KRYLOV_BLOCK = 2
 _KRYLOV_CHECK = 4
 _KRYLOV_TOL = 1e-13
 _GAP_RTOL = 1e-10
 _KRYLOV_MAX_COLS = 400
+_KRYLOV_CHUNK = 32
 
 # Floor of the distance between Ritz values in the second pair's error bound.
 _TINY = 1e-300
@@ -109,8 +112,8 @@ def _vertex_positions(g: ViewGraph, verts: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _cholesky(a: np.ndarray, what: str):
-    """Cholesky-factor the symmetric ``a`` in its own storage; returns the
-    function b -> a^-1 b.
+    """Cholesky-factor the symmetric, finite ``a`` in its own storage;
+    returns the function b -> a^-1 b.
 
     The one use of scipy: it is imported here, on the first factorization,
     so that callers which never run IRLS never pay its import.
@@ -120,7 +123,7 @@ def _cholesky(a: np.ndarray, what: str):
     try:
         # a.T is the Fortran-ordered view of the same symmetric matrix, so
         # LAPACK factors it in place instead of copying it first
-        factor = scipy.linalg.cho_factor(a.T, overwrite_a=True)
+        factor = scipy.linalg.cho_factor(a.T, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise DegenerateInstanceError(f"{what} is not positive definite: {exc}") from None
     return partial(scipy.linalg.cho_solve, factor, check_finite=False)
@@ -193,8 +196,8 @@ def _top_pairs(apply, dim: int) -> np.ndarray:
     """
     free = dim - 3
     cap = min(free, _KRYLOV_MAX_COLS)
-    basis = np.empty((cap, dim))
-    projected = np.empty((cap, cap))
+    basis = np.empty((min(cap, _KRYLOV_CHUNK), dim))
+    projected = np.empty((basis.shape[0],) * 2)
     block = min(_KRYLOV_BLOCK, free)
     start = _without_translations(np.random.default_rng(0).standard_normal((block, dim)))
     basis[:block] = np.linalg.qr(start.T)[0].T
@@ -230,6 +233,11 @@ def _top_pairs(apply, dim: int) -> np.ndarray:
         # once more after the QR, so that a nearly dependent new block cannot
         # bring back directions the basis already holds
         block = min(block, cap - k)
+        if k + block > basis.shape[0]:
+            # grown a chunk at a time, so memory follows the vectors used
+            rows = min(cap, basis.shape[0] + _KRYLOV_CHUNK)
+            basis = np.concatenate([basis[:k], np.empty((rows - k, dim))])
+            projected = np.pad(projected, (0, rows - projected.shape[0]))
         done = basis[:k]
         w = np.linalg.qr(_without_translations(w[:block]).T)[0].T
         w -= (w @ done.T) @ done
@@ -332,10 +340,12 @@ def solve_irls_lud(g: ViewGraph, max_iters: int = 100, delta: float = 1e-8) -> L
     n = verts.size
     pos, ia, ja = _vertex_positions(g, verts)
     gam = g.direction_array
-    # flat indices of each edge's four Laplacian entries and its two rows of
-    # the right-hand side, in the order the bincounts below sum them
-    lap_index = np.concatenate([ia * n + ia, ja * n + ja, ia * n + ja, ja * n + ia])
-    rhs_index = (3 * np.concatenate([ia, ja])[:, None] + np.arange(3)).ravel()
+    # each edge's two ends, and its two rows of the right-hand side, in the
+    # order the bincounts below sum them
+    ends = np.concatenate([ia, ja])
+    rhs_index = (3 * ends[:, None] + np.arange(3)).ravel()
+    # the Laplacian, rebuilt and factored in this one array every round
+    lap = np.empty((n, n))
 
     # Resolve the spectral sign ambiguity toward positive displacements and
     # rescale so the length floor starts inactive: consistent data then has
@@ -368,12 +378,22 @@ def solve_irls_lud(g: ViewGraph, max_iters: int = 100, delta: float = 1e-8) -> L
     for _ in range(max_iters - 1):
         w = 1.0 / np.maximum(r, delta)
 
-        lap = np.bincount(lap_index, weights=np.concatenate([w, w, -w, -w]), minlength=n * n)
-        lap = lap.reshape(n, n)
+        # the graph has one edge per pair, so each off-diagonal entry is
+        # one -w; the diagonal sums each vertex's weights
+        lap.fill(0.0)
+        lap[ia, ja] = lap[ja, ia] = -w
+        lap.flat[:: n + 1] = np.bincount(ends, weights=np.concatenate([w, w]), minlength=n)
         contrib = (w * ell)[:, None] * gam
         rhs = np.bincount(rhs_index, weights=np.concatenate([contrib, -contrib]).ravel(), minlength=3 * n)
         mu = float(np.trace(lap)) / n + 1.0
         lap += mu / n
+        # finite weights and a finite diagonal bound every entry, so the
+        # factorization need not scan all n^2 of them
+        finite = np.isfinite(w).all() and np.isfinite(lap.diagonal()).all()
+        if not (finite and np.isfinite(rhs).all()):
+            raise DegenerateInstanceError(
+                f"IRLS iteration {iterations + 1}: weighted Laplacian or right-hand side is not finite"
+            )
         t_new = _cholesky(lap, "weighted Laplacian")(rhs.reshape(n, 3))
         t_new = t_new - t_new.mean(axis=0)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import tracemalloc
 from dataclasses import fields
@@ -579,3 +580,109 @@ class TestMemory:
             tracemalloc.stop()
         draws = cfg.s * int((~np.isnan(stats.value)).sum())
         assert peak < 8 * draws
+
+    def test_ir_peak_per_cache_row(self):
+        """The cache takes 28 bytes a row, and each reweighting round runs
+        in two float buffers plus one transient int64 copy of an index
+        field: with the per-edge arrays, 8 (T + 12) bytes an edge, the peak
+        stays below 64 bytes a row (51 measured on this instance)."""
+        g, _ = generate_uc(UCParams(n=300, p=0.3, q=0.2, sigma=0.05, seed=3))
+        cfg = AABConfig(s=50, T=10, seed=3)
+        g.common_neighbor_csr
+        tracemalloc.start()
+        try:
+            stats = ir_aab(g, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = stats.cache.edge_rows.size
+        assert rows > 200_000
+        assert peak < 64 * rows + 8 * (cfg.T + 12) * g.num_edges
+
+
+class TestCacheDtype:
+    def test_int32_while_every_count_fits(self):
+        top = 2**31 - 1
+        assert aabstats._index_dtype(top, top, top) == np.int32
+        for big in ((top + 1, 3, 3), (3, top + 1, 3), (3, 3, top + 1)):
+            assert aabstats._index_dtype(*big) == np.intp
+
+    def test_cache_fields_take_the_chosen_dtype(self, monkeypatch):
+        g, _ = generate_uc(UCParams(n=40, p=0.5, q=0.3, sigma=0.05, seed=1))
+        cfg = AABConfig(s=30, seed=1)
+        narrow = ir_aab(g, cfg)
+        monkeypatch.setattr(aabstats, "_index_dtype", lambda n, m, s: np.dtype(np.intp))
+        wide = ir_aab(g, cfg)
+        for f in ("edge_rows", "neighbors", "rows_jk", "rows_ki", "multiplicity"):
+            assert getattr(narrow.cache, f).dtype == np.int32
+            assert getattr(wide.cache, f).dtype == np.intp
+            assert np.array_equal(getattr(narrow.cache, f), getattr(wide.cache, f))
+        assert np.array_equal(narrow.per_iteration, wide.per_iteration, equal_nan=True)
+
+    def test_no_supported_edge(self):
+        g = ViewGraph(3, [(0, 1, EZ), (1, 2, EZ)])
+        cache = ir_aab(g, AABConfig()).cache
+        assert [getattr(cache, f.name).dtype for f in fields(cache)] == [np.int32] * 4 + [
+            np.float64,
+            np.int32,
+        ]
+        assert all(getattr(cache, f.name).size == 0 for f in fields(cache))
+
+
+def digest(a, dtype) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=dtype).tobytes()).hexdigest()[:16]
+
+
+# sha256 prefixes of every cache field (as int64 or float64) and of both
+# statistics, recorded before the cache fields were narrowed and the rounds
+# moved into reused buffers (numpy 2.4, x86-64): the values are the same to
+# the bit.  The float digests rest on numpy's exp, arctan2 and arcsine
+# rounding the same way, which a different CPU or numpy build need not do.
+GOLDEN = {
+    "uc-dense": dict(
+        rows=2894,
+        edge_rows="438ac17b38eecd26",
+        neighbors="304697ef00225764",
+        rows_jk="8ba3e6c8955828e0",
+        rows_ki="eb19a743ccb82065",
+        multiplicity="69803dd1176840a1",
+        inconsistencies="4de12aaeca4435cc",
+        naive="2d2210982691f8ca",
+        ir_per_iteration="1399b1e9b84d8433",
+        weight_sums="fca5cbb74ae29804",
+        taus="d73b8afc7e6ad566",
+    ),
+    # 94 of its 451 edges are unsupported: the median fallback runs
+    "uc-sparse": dict(
+        rows=726,
+        edge_rows="127bba812455964a",
+        neighbors="77c3627a6ed03e52",
+        rows_jk="3b7d9cc431afc224",
+        rows_ki="62712f6439c8415e",
+        multiplicity="c233994c04b094a4",
+        inconsistencies="2127f68f98e06cb1",
+        naive="5f24080450e23b8e",
+        ir_per_iteration="72ac311b17d21f67",
+        weight_sums="1b8b79f51fc8e1a1",
+        taus="2b00acf78375d246",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_golden_statistics_and_cache(name):
+    g, cfg = oracle_case(name)
+    naive = naive_aab(g, cfg)
+    ir = ir_aab(g, cfg, keep_weight_sums=True)
+    cache = ir.cache
+    got = {"rows": int(cache.edge_rows.size)}
+    for f in ("edge_rows", "neighbors", "rows_jk", "rows_ki", "multiplicity"):
+        got[f] = digest(getattr(cache, f), np.int64)
+    got["inconsistencies"] = digest(cache.inconsistencies, np.float64)
+    got["naive"] = digest(naive.value, np.float64)
+    got["ir_per_iteration"] = digest(ir.per_iteration, np.float64)
+    got["weight_sums"] = digest(np.array(ir.diagnostics.weight_sums), np.float64)
+    got["taus"] = digest(np.array(ir.diagnostics.taus), np.float64)
+    assert got == GOLDEN[name]
+    for f in fields(cache):
+        assert np.array_equal(getattr(naive.cache, f.name), getattr(cache, f.name))

@@ -121,6 +121,23 @@ MESSAGES = [
     ("stats", ["0,1,0.5,+1"], 3, "could not parse row"),
     ("labels", ["0,1,0.5,1_0"], 3, "could not parse row"),
     ("labels", ["0,--1,0.5,0"], 3, "could not parse row"),
+    # floats take neither underscores nor blanks, which float() would
+    ("edges", ["0 1 0_1 0 0", "0 2 1 0 0", "1 2 1 0 0"], 2,
+     "could not parse vertex ids or direction components"),
+    ("edges", ["0 1 1 0 0", "0 2 1e0_0 0 0"], 3, "could not parse vertex ids or direction components"),
+    ("locations", ["0 1 2_0 3"], 2, "could not parse vertex id or coordinates"),
+    ("stats", ["0,1, 0.25 ,0"], 3, "could not parse statistic value"),
+    ("stats", ["0,1,0.5,0", "0,2,0.2\t,0"], 4, "could not parse statistic value"),
+    ("stats", ["0,1,0_5,0"], 3, "could not parse statistic value"),
+    ("labels", ["0,1, 0.5,0"], 3, "could not parse angle value"),
+    ("labels", ["0,1,1_0.5,1"], 3, "could not parse angle value"),
+    # a blank-padded value of an unsupported edge is skipped, as any value is
+    ("stats", ["0,1, 0.5 ,1", "0,2,0_5,0"], 4, "could not parse statistic value"),
+    # nan and inf still reach the finiteness checks
+    ("edges", ["0 1 NaN 0 0"], 2, "direction has a non-finite component"),
+    ("locations", ["1 0 Infinity 0"], 2, "location of vertex 1 has a non-finite coordinate"),
+    ("stats", ["0,1,-Inf,0"], 3, "statistic of edge (0, 1) is not finite"),
+    ("labels", ["0,1,nan,0"], 3, "angle of edge (0, 1) is not finite"),
 ]
 
 
@@ -201,7 +218,7 @@ def test_parsed_values(tmp_path):
 
     path = write(
         tmp_path,
-        "# aab-stats v1 n=4\ni,j,statistic,unsupported\n2,3,0.5,0\n0,2,garbage,1\n0,1, 0.25 ,0\n",
+        "# aab-stats v1 n=4\ni,j,statistic,unsupported\n2,3,0.5,0\n0,2,garbage,1\n0,1,0.25,0\n",
     )
     stats = parse_statistics(path)
     assert stats.edge_array.tolist() == [[0, 1], [0, 2], [2, 3]]

@@ -244,8 +244,7 @@ class TestDenseOracle:
             dense_solve_spectral(g)
 
 
-def test_spectral_memory_far_below_dense_form():
-    """At N = 1000 the dense 3N x 3N form alone would take 72 MB."""
+def spectral_memory_instance() -> ViewGraph:
     rng = np.random.default_rng(5)
     n = 1000
     t = rng.normal(size=(n, 3))
@@ -256,14 +255,61 @@ def test_spectral_memory_far_below_dense_form():
     d = t[i] - t[j] + 0.05 * rng.normal(size=(i.size, 3))
     g = ViewGraph.from_arrays(n, i, j, d / np.linalg.norm(d, axis=1, keepdims=True))
     assert g.active_vertices().size == n
+    return g
 
+
+def traced_peak(fn):
+    """``fn()`` and the peak of its traced allocations in bytes."""
     tracemalloc.start()
     try:
-        solve_ls_spectral(g)
+        out = fn()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return out, peak
+
+
+def test_spectral_memory_far_below_dense_form():
+    """At N = 1000 the dense 3N x 3N form alone would take 72 MB."""
+    g = spectral_memory_instance()
+    _, peak = traced_peak(lambda: solve_ls_spectral(g))
     assert peak < 24e6
+
+
+def test_krylov_basis_grows_with_the_vectors_used(monkeypatch):
+    """The basis is allocated a chunk at a time: against a basis of the full
+    cap allocated up front, the traced peak at N = 1000 drops by at least
+    the rows that were never used, and the solution is the same to the bit."""
+    g = spectral_memory_instance()
+    dim = 3 * g.n
+    used = []
+    real_form = solvers._form
+
+    def counting_form(g, verts):
+        matvec, c = real_form(g, verts)
+
+        def counted(q):
+            used.append(q.shape[0])
+            return matvec(q)
+
+        return counted, c
+
+    monkeypatch.setattr(solvers, "_form", counting_form)
+    est, peak = traced_peak(lambda: solve_ls_spectral(g))
+    vectors = sum(used)
+    chunk, cap = solvers._KRYLOV_CHUNK, solvers._KRYLOV_MAX_COLS
+    monkeypatch.setattr(solvers, "_KRYLOV_CHUNK", cap)
+    full, full_peak = traced_peak(lambda: solve_ls_spectral(g))
+
+    assert sum(used) == 2 * vectors
+    # rows of the grown basis, and the bytes of the rows it never allocated
+    rows = -(-vectors // chunk) * chunk
+    unused = (cap - rows) * dim * 8
+    assert unused > 4e6
+    assert full_peak - peak >= unused
+    for v in est.locations:
+        assert np.array_equal(est.locations[v], full.locations[v])
+    assert np.array_equal(est.residuals, full.residuals)
 
 
 class TestFailedFactorization:
@@ -285,6 +331,64 @@ class TestFailedFactorization:
         monkeypatch.setattr(scipy.linalg, "cho_factor", laplacian_fails)
         with pytest.raises(DegenerateInstanceError, match="weighted Laplacian"):
             solve_irls_lud(g, max_iters=5)
+
+    @staticmethod
+    def nan_start(monkeypatch):
+        """Make the spectral start put vertex 0 at NaN, so the first IRLS
+        round's weights are not finite."""
+        real = solvers._solve_spectral
+
+        def start(g):
+            verts, t, res = real(g)
+            t = t.copy()
+            t[0] = np.nan
+            return verts, t, res
+
+        monkeypatch.setattr(solvers, "_solve_spectral", start)
+
+    def test_non_finite_weights_fail_before_factoring(self, monkeypatch):
+        self.nan_start(monkeypatch)
+        factored = []
+        real = scipy.linalg.cho_factor
+        monkeypatch.setattr(
+            scipy.linalg, "cho_factor", lambda *a, **k: factored.append(1) or real(*a, **k)
+        )
+        with pytest.raises(DegenerateInstanceError) as exc:
+            solve_irls_lud(oracle_instance("k20"), max_iters=5)
+        assert str(exc.value) == (
+            "IRLS iteration 2: weighted Laplacian or right-hand side is not finite"
+        )
+        assert not factored
+
+    def test_overflowing_diagonal_fails_before_factoring(self, monkeypatch):
+        # From the exact locations every edge of the cube has residual 0 and
+        # the finite weight 1 / delta = 1e308; each vertex's three then
+        # overflow the diagonal.  The spectral solve is bypassed: the cube's
+        # edges alone do not fix its shape.
+        corners = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], float)
+        edges = [
+            (a, b, corners[a] - corners[b])
+            for a in range(8)
+            for b in range(a + 1, 8)
+            if np.abs(corners[a] - corners[b]).sum() == 1
+        ]
+        g = ViewGraph(8, edges)
+        verts = np.arange(8)
+        t = corners - 0.5
+        monkeypatch.setattr(solvers, "_solve_spectral", lambda g: (verts, t, np.zeros(12)))
+        with pytest.raises(DegenerateInstanceError, match="IRLS iteration 2: .* not finite"):
+            solve_irls_lud(g, delta=1e-308)
+
+    def test_cli_reports_non_finite_weights_in_one_line(self, monkeypatch, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        write_edge_list(oracle_instance("k20"), str(edges))
+        self.nan_start(monkeypatch)
+        out = tmp_path / "estimate.txt"
+        code = main(["solve", "--edges", str(edges), "--solver", "irls", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: IRLS iteration 2: weighted Laplacian or right-hand side is not finite\n"
+        assert not out.exists()
 
     def test_cli_reports_one_line(self, monkeypatch, tmp_path, capsys):
         edges = tmp_path / "edges.txt"
