@@ -22,6 +22,7 @@ _SUBMODULES = {
 
 _EXPORTS = {
     "ViewGraph": "graph",
+    "Locations": "graph",
     "UCParams": "synthetic",
     "GroundTruth": "synthetic",
     "generate_uc": "synthetic",

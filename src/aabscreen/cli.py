@@ -172,7 +172,7 @@ def _cmd_solve(args) -> int:
         "iterations": est.iterations,
     }
     write_locations(est.locations, g.n, args.out, metadata=meta)
-    print(f"solved {len(est.locations)} locations in {est.iterations} iterations")
+    print(f"solved {est.locations.vertices.size} locations in {est.iterations} iterations")
     return 0
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aabstats import EdgeStatistics
-from .graph import ViewGraph, match_edge_rows
+from .graph import Locations, ViewGraph, match_edge_rows
 from .sphere import great_circle_distance_batch
 from .synthetic import GroundTruth
 
@@ -162,13 +162,15 @@ def histogram(stats: EdgeStatistics, labels: EdgeLabels, bins: int) -> Histogram
     return HistogramCounts(bin_edges=bin_edges, corrupted=bad, uncorrupted=good)
 
 
-def location_errors(aligned: dict[int, np.ndarray], gt_locations: dict[int, np.ndarray]) -> tuple[float, float]:
+def location_errors(aligned: Locations, reference: Locations) -> tuple[float, float]:
     """Mean and median per-vertex distance over the common vertex set."""
-    common = sorted(set(aligned) & set(gt_locations))
-    if not common:
+    common, a, b = np.intersect1d(aligned.vertices, reference.vertices, return_indices=True)
+    if not common.size:
         raise ValueError("no common vertices between estimate and reference")
-    d = np.array([np.linalg.norm(aligned[v] - gt_locations[v]) for v in common])
-    return float(d.mean()), float(np.median(d))
+    d = aligned.coords[a] - reference.coords[b]
+    # rounds as np.linalg.norm of each row does; norm(d, axis=1) may not
+    dist = np.sqrt(np.matmul(d[:, None, :], d[:, :, None]).ravel())
+    return float(dist.mean()), float(np.median(dist))
 
 
 def improvement(e_before: float, e_after: float) -> float:

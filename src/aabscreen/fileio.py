@@ -19,7 +19,9 @@ import numpy as np
 
 from .aabstats import EdgeStatistics
 from .evaluation import EdgeLabels, HistogramCounts, RocCurve
-from .graph import MAX_VERTICES, ViewGraph, first_fault, match_edge_rows, pair_checks, repeats
+from .graph import (
+    MAX_VERTICES, Locations, ViewGraph, first_fault, match_edge_rows, pair_checks, repeats,
+)
 from .sphere import UNIT_NORM_TOL
 
 __all__ = [
@@ -224,22 +226,19 @@ def parse_edge_list(path: str) -> ViewGraph:
 
 
 def write_locations(
-    locations: Mapping[int, np.ndarray],
-    n: int,
-    path: str,
-    metadata: Mapping[str, object] | None = None,
+    locations: Locations, n: int, path: str, metadata: Mapping[str, object] | None = None
 ) -> None:
+    """Write "v x y z" lines in vertex order."""
     lines = [f"{_LOC_HEADER} n={n}"]
     lines += _metadata_lines(metadata)
-    verts = sorted(locations)
-    coords = np.array([locations[v] for v in verts], dtype=np.float64).reshape(-1, 3)
-    lines += ["%d %.17g %.17g %.17g" % (v, x, y, z) for v, (x, y, z) in zip(verts, coords.tolist())]
+    rows = zip(locations.vertices.tolist(), locations.coords.tolist())
+    lines += ["%d %.17g %.17g %.17g" % (v, x, y, z) for v, (x, y, z) in rows]
     _atomic_write(path, lines)
 
 
-def parse_locations(path: str) -> tuple[dict[int, np.ndarray], int]:
-    """Read vertex locations; on the first faulty line, the first of: field
-    count, tokens, finite coordinates, id range, repeated vertex."""
+def parse_locations(path: str) -> tuple[Locations, int]:
+    """Read vertex locations, sorted by vertex; on the first faulty line, the
+    first of: field count, tokens, finite coordinates, id range, repeated vertex."""
     rd = _Reader(path, _LOC_HEADER)
     c = rd.rows(None, "could not parse vertex id or coordinates", v=int, x=float, y=float, z=float)
     t = np.stack([c["x"], c["y"], c["z"]], axis=1)
@@ -250,7 +249,8 @@ def parse_locations(path: str) -> tuple[dict[int, np.ndarray], int]:
         (~in_range, "vertex {v} out of range for n={n}"),
         (repeats(v, in_range), "vertex {v} appears more than once"),
     )
-    return dict(zip(v.tolist(), t)), rd.n
+    order = np.argsort(v)
+    return Locations(v[order], t[order]), rd.n
 
 
 # -- statistics and labels ----------------------------------------------------

@@ -8,6 +8,7 @@ screening builds new graphs instead of mutating.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -15,8 +16,8 @@ import numpy as np
 from .sphere import UNIT_NORM_TOL
 
 __all__ = [
-    "MAX_VERTICES", "ViewGraph", "edge_tuples", "first_fault", "match_edge_rows", "pair_checks",
-    "repeats",
+    "MAX_VERTICES", "Locations", "ViewGraph", "edge_tuples", "first_fault", "match_edge_rows",
+    "pair_checks", "repeats",
 ]
 
 # Most vertices a graph may have: every pair key i * n + j is then exact in int64.
@@ -115,6 +116,24 @@ def match_edge_rows(have: np.ndarray, want: np.ndarray, missing: str) -> np.ndar
         a, b = want[np.argmax(missing_rows)]
         raise ValueError(missing.format((int(a), int(b))))
     return rows
+
+
+@dataclass(frozen=True, eq=False)
+class Locations:
+    """3D points of a vertex set: row k of the (N, 3) float64 ``coords``
+    belongs to ``vertices[k]``, and ``vertices`` is sorted, unique int64."""
+
+    vertices: np.ndarray
+    coords: np.ndarray
+
+    def __post_init__(self):
+        v = self.vertices
+        if v.ndim != 1 or self.coords.shape != (v.size, 3) or (v[1:] <= v[:-1]).any():
+            raise ValueError("locations need sorted unique vertices and one 3-vector each")
+
+    def values(self) -> np.ndarray:
+        """``coords``, as perfbench's location check reads them."""
+        return self.coords
 
 
 class ViewGraph:

@@ -66,7 +66,8 @@ def filter_edges(g: ViewGraph, stats: EdgeStatistics, policy: ScreeningPolicy) -
     if policy.mode == "keep_fraction":
         # rows are in canonical edge order, so a stable sort breaks ties by edge
         ranked = supported[np.argsort(vals[supported], kind="stable")]
-        kept[ranked[: math.ceil(policy.keep_fraction * supported.size)]] = True
+        # f * N within a relative 1e-12 of an integer keeps it: 0.07 * 100 > 7
+        kept[ranked[: math.ceil(policy.keep_fraction * supported.size * (1 - 1e-12))]] = True
     else:
         kept[supported[vals[supported] <= policy.threshold]] = True
 

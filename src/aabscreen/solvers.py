@@ -39,11 +39,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Mapping
 
 import numpy as np
 
-from .graph import ViewGraph
+from .graph import Locations, ViewGraph
 
 __all__ = [
     "DegenerateInstanceError",
@@ -88,27 +87,21 @@ class LocationEstimate:
     every iteration.
     """
 
-    locations: dict[int, np.ndarray]
+    locations: Locations
     residuals: np.ndarray
     converged: bool
     iterations: int
     objective_trace: list[float] | None = None
 
 
-def _solver_vertices(g: ViewGraph) -> np.ndarray:
+def _solver_vertices(g: ViewGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices with an edge, and the (2, m) rows among them of each edge's ends."""
     verts = g.active_vertices()
     if verts.size < 2:
         raise ValueError("need at least 2 vertices with edges")
     if not g.is_connected_over_active():
         raise ValueError("measurement graph is not connected")
-    return verts
-
-
-def _vertex_positions(g: ViewGraph, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Map from vertex id to row of the solve, and the rows of each edge's ends."""
-    pos = np.full(g.n, -1, dtype=np.int64)
-    pos[verts] = np.arange(verts.size)
-    return pos, pos[g.edge_array[:, 0]], pos[g.edge_array[:, 1]]
+    return verts, np.searchsorted(verts, g.edge_array.T)
 
 
 def _cholesky(a: np.ndarray, what: str):
@@ -129,10 +122,10 @@ def _cholesky(a: np.ndarray, what: str):
     return partial(scipy.linalg.cho_solve, factor, check_finite=False)
 
 
-def _form(g: ViewGraph, verts: np.ndarray):
+def _form(g: ViewGraph, ends: np.ndarray, n: int):
     """Matrix-vector product with the 3N x 3N form A of the projection
-    objective, and the Gershgorin bound c on A's largest eigenvalue; returns
-    (matvec, c).
+    objective on n = N rows joined by the edges ``ends``, and the Gershgorin
+    bound c on A's largest eigenvalue; returns (matvec, c).
 
     Edge e between rows i and j adds P_e x_i - P_e x_j to row i and
     P_e x_j - P_e x_i to row j.  So each row is its diagonal block, the sum
@@ -143,13 +136,11 @@ def _form(g: ViewGraph, verts: np.ndarray):
     arrays, one vector per row; inside, components lead, so every step runs
     over contiguous half-edge arrays.
     """
-    n = verts.size
-    _, ip, jp = _vertex_positions(g, verts)
-    ends = np.concatenate([ip, jp])
-    order = np.argsort(ends, kind="stable")
-    far = np.concatenate([jp, ip])[order]
-    gam = g.direction_array[order % ip.size]
-    starts = np.searchsorted(ends[order], np.arange(n))
+    half = ends.ravel()
+    order = np.argsort(half, kind="stable")
+    far = ends[::-1].ravel()[order]
+    gam = g.direction_array[order % g.num_edges]
+    starts = np.searchsorted(half[order], np.arange(n))
 
     proj = np.eye(3)[None, :, :] - gam[:, :, None] * gam[:, None, :]
     diag = np.add.reduceat(proj, starts)
@@ -244,17 +235,15 @@ def _top_pairs(apply, dim: int) -> np.ndarray:
         basis[k : k + block] = np.linalg.qr(_without_translations(w).T)[0].T
 
 
-def _edge_residuals(g: ViewGraph, pos: np.ndarray, t: np.ndarray) -> np.ndarray:
-    ti = t[pos[g.edge_array[:, 0]]]
-    tj = t[pos[g.edge_array[:, 1]]]
-    diff = ti - tj
+def _edge_residuals(g: ViewGraph, ends: np.ndarray, t: np.ndarray) -> np.ndarray:
+    diff = t[ends[0]] - t[ends[1]]
     d = g.direction_array
     along = np.einsum("ij,ij->i", diff, d)
     rej = diff - along[:, None] * d
     return np.linalg.norm(rej, axis=1)
 
 
-def _lowest_eigenpairs(g: ViewGraph, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lowest_eigenpairs(g: ViewGraph, ends: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Two smallest eigenpairs of the form on translation-free locations.
 
     Returns (eigenvalues, eigenvectors as the columns of a (3N, 2) array).
@@ -263,13 +252,12 @@ def _lowest_eigenpairs(g: ViewGraph, verts: np.ndarray) -> tuple[np.ndarray, np.
     to the smallest of A.  The eigenvalues are the Rayleigh quotients of the
     unshifted form, so c cancels from the gap test.
     """
-    matvec, c = _form(g, verts)
-    vecs = _top_pairs(lambda q: c * q - matvec(q), 3 * verts.size)
-    pos, _, _ = _vertex_positions(g, verts)
+    matvec, c = _form(g, ends, n)
+    vecs = _top_pairs(lambda q: c * q - matvec(q), 3 * n)
     evals = np.empty(2)
     for k in range(2):
         t = vecs[:, k].reshape(-1, 3)
-        evals[k] = float(np.sum(_edge_residuals(g, pos, t) ** 2)) / float(np.sum(t * t))
+        evals[k] = float(np.sum(_edge_residuals(g, ends, t) ** 2)) / float(np.sum(t * t))
     return evals, vecs
 
 
@@ -278,10 +266,10 @@ def _gauge_fixed(t: np.ndarray) -> np.ndarray:
     return c / np.linalg.norm(c)
 
 
-def _solve_spectral(g: ViewGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One constrained eigen-solve; returns (verts, t, residuals)."""
-    verts = _solver_vertices(g)
-    evals, evecs = _lowest_eigenpairs(g, verts)
+def _solve_spectral(g: ViewGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One constrained eigen-solve; returns (verts, ends, t, residuals)."""
+    verts, ends = _solver_vertices(g)
+    evals, evecs = _lowest_eigenpairs(g, ends, verts.size)
 
     if evals[1] - evals[0] < _GAP_TOL:
         raise DegenerateInstanceError(
@@ -290,15 +278,7 @@ def _solve_spectral(g: ViewGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         )
 
     t = _gauge_fixed(evecs[:, 0].reshape(verts.size, 3))
-    pos, _, _ = _vertex_positions(g, verts)
-    return verts, t, _edge_residuals(g, pos, t)
-
-
-def _to_estimate(verts, t, res, converged: bool, iterations: int) -> LocationEstimate:
-    locations = {int(v): t[k].copy() for k, v in enumerate(verts)}
-    return LocationEstimate(
-        locations=locations, residuals=res, converged=converged, iterations=iterations
-    )
+    return verts, ends, t, _edge_residuals(g, ends, t)
 
 
 def solve_ls_spectral(g: ViewGraph) -> LocationEstimate:
@@ -309,8 +289,8 @@ def solve_ls_spectral(g: ViewGraph) -> LocationEstimate:
     when the two smallest constrained eigenvalues (nearly) coincide, e.g.
     for collinear locations or non-rigid graphs.
     """
-    verts, t, res = _solve_spectral(g)
-    return _to_estimate(verts, t, res, converged=True, iterations=1)
+    verts, _, t, res = _solve_spectral(g)
+    return LocationEstimate(Locations(verts, t), res, converged=True, iterations=1)
 
 
 def solve_irls_lud(g: ViewGraph, max_iters: int = 100, delta: float = 1e-8) -> LocationEstimate:
@@ -336,14 +316,13 @@ def solve_irls_lud(g: ViewGraph, max_iters: int = 100, delta: float = 1e-8) -> L
     if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be finite and > 0, got {delta!r}")
 
-    verts, t, _ = _solve_spectral(g)
+    verts, ends, t, _ = _solve_spectral(g)
     n = verts.size
-    pos, ia, ja = _vertex_positions(g, verts)
+    ia, ja = ends
     gam = g.direction_array
-    # each edge's two ends, and its two rows of the right-hand side, in the
-    # order the bincounts below sum them
-    ends = np.concatenate([ia, ja])
-    rhs_index = (3 * ends[:, None] + np.arange(3)).ravel()
+    # the rows of the right-hand side at each edge's two ends, in the order
+    # the bincounts below sum them
+    rhs_index = (3 * ends.reshape(-1, 1) + np.arange(3)).ravel()
     # the Laplacian, rebuilt and factored in this one array every round
     lap = np.empty((n, n))
 
@@ -382,7 +361,7 @@ def solve_irls_lud(g: ViewGraph, max_iters: int = 100, delta: float = 1e-8) -> L
         # one -w; the diagonal sums each vertex's weights
         lap.fill(0.0)
         lap[ia, ja] = lap[ja, ia] = -w
-        lap.flat[:: n + 1] = np.bincount(ends, weights=np.concatenate([w, w]), minlength=n)
+        lap.flat[:: n + 1] = np.bincount(ends.ravel(), weights=np.concatenate([w, w]), minlength=n)
         contrib = (w * ell)[:, None] * gam
         rhs = np.bincount(rhs_index, weights=np.concatenate([contrib, -contrib]).ravel(), minlength=3 * n)
         mu = float(np.trace(lap)) / n + 1.0
@@ -411,10 +390,8 @@ def solve_irls_lud(g: ViewGraph, max_iters: int = 100, delta: float = 1e-8) -> L
             break
 
     t = _gauge_fixed(t)
-    res = _edge_residuals(g, pos, t)
-    est = _to_estimate(verts, t, res, converged=converged, iterations=iterations)
-    est.objective_trace = trace
-    return est
+    res = _edge_residuals(g, ends, t)
+    return LocationEstimate(Locations(verts, t), res, converged, iterations, trace)
 
 
 def _fit_similarity(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -430,13 +407,12 @@ def _fit_similarity(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def align_similarity(
-    est: LocationEstimate | Mapping[int, np.ndarray],
-    gt_locations: Mapping[int, np.ndarray],
-) -> tuple[float, np.ndarray, dict[int, np.ndarray]]:
+    est: LocationEstimate | Locations, reference: Locations
+) -> tuple[float, np.ndarray, Locations]:
     """Best scale/shift of an estimate onto reference locations.
 
-    Returns (scale, shift, aligned) where aligned[v] = scale * est[v] + shift
-    for every estimated vertex.  The scale is unconstrained in sign, so a
+    Returns (scale, shift, aligned), where aligned holds scale * x + shift
+    for each estimated location x.  The scale is unconstrained in sign, so a
     globally reflected estimate aligns as well as an unreflected one.
 
     Raises:
@@ -444,14 +420,12 @@ def align_similarity(
             all estimated points coincide.
     """
     locs = est.locations if isinstance(est, LocationEstimate) else est
-    verts = sorted(locs)
-    if not verts:
+    verts = locs.vertices
+    if not verts.size:
         raise ValueError("empty estimate")
-    missing = [v for v in verts if v not in gt_locations]
-    if missing:
-        raise ValueError(f"vertices {missing[:5]} have no reference location")
-    x = np.array([locs[v] for v in verts], dtype=np.float64)
-    y = np.array([gt_locations[v] for v in verts], dtype=np.float64)
-    s, b = _fit_similarity(x, y)
-    aligned = {v: s * locs[v] + b for v in verts}
-    return s, b, aligned
+    missing = verts[~np.isin(verts, reference.vertices)]
+    if missing.size:
+        raise ValueError(f"vertices {missing[:5].tolist()} have no reference location")
+    y = reference.coords[np.searchsorted(reference.vertices, verts)]
+    s, b = _fit_similarity(locs.coords, y)
+    return s, b, Locations(verts, s * locs.coords + b)

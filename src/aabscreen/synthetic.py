@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ViewGraph
+from .graph import Locations, ViewGraph
 from .streams import (
     TAG_CORRUPTION,
     TAG_EDGE_PRESENCE,
@@ -66,7 +66,7 @@ class GroundTruth:
     at evaluation time).
     """
 
-    locations: dict[int, np.ndarray]
+    locations: Locations
     edge_array: np.ndarray
     clean_directions: np.ndarray
     corrupted_flags: np.ndarray
@@ -74,22 +74,25 @@ class GroundTruth:
 
 def _draw_locations(params: UCParams) -> np.ndarray:
     rng = derive_rng(params.seed, TAG_LOCATIONS)
-    # rows compared per block: keeps the (rows, n, 3) differences near 8 MB
-    block = max(1, (1 << 20) // (3 * params.n))
     while True:
         t = rng.normal(size=(params.n, 3))
-        if all(
-            _min_distance(t, lo, min(lo + block, params.n)) >= _COINCIDENT_TOL
-            for lo in range(0, params.n, block)
-        ):
+        if not _has_coincident_rows(t):
             return t
 
 
-def _min_distance(t: np.ndarray, lo: int, hi: int) -> float:
-    """Smallest distance from rows lo..hi-1 of t to any other row."""
-    dist = np.linalg.norm(t[lo:hi, None, :] - t[None, :, :], axis=2)
-    dist[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-    return float(dist.min())
+def _has_coincident_rows(t: np.ndarray) -> bool:
+    """Whether two rows of ``t`` lie closer than ``_COINCIDENT_TOL``.  Such
+    a pair is as close in x, so in x order every gap between the rows it
+    spans is below the tolerance; only pairs so joined are measured."""
+    s = t[np.argsort(t[:, 0])]
+    joined = np.diff(s[:, 0]) < _COINCIDENT_TOL
+    # pairs[k]: rows k and k + w lie in one run, for w = 1, 2, ...
+    pairs, w = joined, 1
+    while pairs.any():
+        if (np.linalg.norm(s[:-w][pairs] - s[w:][pairs], axis=1) < _COINCIDENT_TOL).any():
+            return True
+        pairs, w = pairs[:-1] & joined[w:], w + 1
+    return False
 
 
 def _draw_edge_set(params: UCParams) -> np.ndarray:
@@ -130,7 +133,7 @@ def generate_uc(params: UCParams) -> tuple[ViewGraph, GroundTruth]:
     # the pairs are in canonical order already, so the graph keeps their rows
     g = ViewGraph.from_arrays(params.n, i, j, gamma)
     gt = GroundTruth(
-        locations={v: t[v].copy() for v in range(params.n)},
+        locations=Locations(np.arange(params.n), t),
         edge_array=g.edge_array,
         clean_directions=clean,
         corrupted_flags=corrupted,

@@ -14,16 +14,16 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from aabscreen.graph import ViewGraph
+from aabscreen.graph import Locations, ViewGraph
 from aabscreen.solvers import (
     _CONVERGENCE_TOL,
     _GAP_TOL,
     DegenerateInstanceError,
+    LocationEstimate,
     _edge_residuals,
     _fit_similarity,
     _gauge_fixed,
     _solver_vertices,
-    _to_estimate,
 )
 
 
@@ -56,8 +56,8 @@ def dense_lowest_eigenpairs(g: ViewGraph, verts: np.ndarray):
 
 
 def dense_solve_spectral(g: ViewGraph):
-    """(verts, t, residuals) of one constrained eigen-solve."""
-    verts = _solver_vertices(g)
+    """(verts, ends, t, residuals) of one constrained eigen-solve."""
+    verts, ends = _solver_vertices(g)
     n = verts.size
     evals, evecs = dense_lowest_eigenpairs(g, verts)
     if evals[1] - evals[0] < _GAP_TOL:
@@ -67,19 +67,14 @@ def dense_solve_spectral(g: ViewGraph):
     t = evecs[:, 0].reshape(n, 3)
     t = t - t.mean(axis=0)
     t = t / np.linalg.norm(t)
-    pos = np.full(g.n, -1, dtype=np.int64)
-    pos[verts] = np.arange(n)
-    return verts, t, _edge_residuals(g, pos, t)
+    return verts, ends, t, _edge_residuals(g, ends, t)
 
 
 def dense_irls_lud(g: ViewGraph, max_iters: int = 100, delta: float = 1e-8):
     """``solve_irls_lud`` on the dense reference solves."""
-    verts, t, _ = dense_solve_spectral(g)
+    verts, ends, t, _ = dense_solve_spectral(g)
     n = verts.size
-    pos = np.full(g.n, -1, dtype=np.int64)
-    pos[verts] = np.arange(n)
-    ia = pos[g.edge_array[:, 0]]
-    ja = pos[g.edge_array[:, 1]]
+    ia, ja = ends
     gam = g.direction_array
 
     dots = np.einsum("ij,ij->i", t[ia] - t[ja], gam)
@@ -132,6 +127,5 @@ def dense_irls_lud(g: ViewGraph, max_iters: int = 100, delta: float = 1e-8):
             break
 
     t = _gauge_fixed(t)
-    est = _to_estimate(verts, t, _edge_residuals(g, pos, t), converged, iterations)
-    est.objective_trace = trace
-    return est
+    res = _edge_residuals(g, ends, t)
+    return LocationEstimate(Locations(verts, t), res, converged, iterations, trace)

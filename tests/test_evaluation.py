@@ -16,7 +16,8 @@ from aabscreen.evaluation import (
     location_errors,
     roc_auc,
 )
-from aabscreen.graph import ViewGraph
+from aabscreen.graph import Locations, ViewGraph
+from aabscreen.solvers import align_similarity
 from aabscreen.synthetic import GroundTruth, UCParams, generate_uc
 
 from conftest import labels_of, stats_of, unit
@@ -25,7 +26,7 @@ from conftest import labels_of, stats_of, unit
 def two_vertex_instance(measured, clean):
     g = ViewGraph(2, [(0, 1, measured)])
     gt = GroundTruth(
-        locations={0: np.zeros(3), 1: np.ones(3)},
+        locations=Locations(np.arange(2), np.array([np.zeros(3), np.ones(3)])),
         edge_array=g.edge_array,
         clean_directions=np.asarray([clean], dtype=float),
         corrupted_flags=np.array([False]),
@@ -191,24 +192,98 @@ class TestHistogram:
             histogram(stats, labels_of({(0, 1): True, (0, 2): False}), bins=5)
 
 
+def locations(mapping) -> Locations:
+    """Locations from a map of vertex to point."""
+    verts = sorted(mapping)
+    return Locations(np.array(verts, dtype=np.int64), np.array([mapping[v] for v in verts], float))
+
+
+def dict_location_errors(aligned, gt_locations):
+    """``location_errors`` as written for vertex-keyed dicts."""
+    common = sorted(set(aligned) & set(gt_locations))
+    if not common:
+        raise ValueError("no common vertices between estimate and reference")
+    d = np.array([np.linalg.norm(aligned[v] - gt_locations[v]) for v in common])
+    return float(d.mean()), float(np.median(d))
+
+
+def dict_align_similarity(locs, gt_locations):
+    """``align_similarity`` as written for vertex-keyed dicts."""
+    verts = sorted(locs)
+    if not verts:
+        raise ValueError("empty estimate")
+    missing = [v for v in verts if v not in gt_locations]
+    if missing:
+        raise ValueError(f"vertices {missing[:5]} have no reference location")
+    x = np.array([locs[v] for v in verts], dtype=np.float64)
+    y = np.array([gt_locations[v] for v in verts], dtype=np.float64)
+    xc = x - x.mean(axis=0)
+    yc = y - y.mean(axis=0)
+    s = float(np.sum(xc * yc)) / float(np.sum(xc * xc))
+    b = y.mean(axis=0) - s * x.mean(axis=0)
+    return s, b, {v: s * locs[v] + b for v in verts}
+
+
+def random_points(rng, verts) -> dict:
+    return {int(v): rng.normal(size=3) * 10.0 ** rng.integers(-3, 4) for v in verts}
+
+
 class TestLocationErrors:
     def test_identity(self):
-        pts = {v: np.array([v, 0.0, 0.0]) for v in range(4)}
+        pts = locations({v: np.array([v, 0.0, 0.0]) for v in range(4)})
         assert location_errors(pts, pts) == (0.0, 0.0)
 
     def test_two_vertices(self):
-        gt = {0: np.zeros(3), 1: np.zeros(3)}
-        est = {0: np.array([1.0, 0, 0]), 1: np.array([3.0, 0, 0])}
+        gt = locations({0: np.zeros(3), 1: np.zeros(3)})
+        est = locations({0: np.array([1.0, 0, 0]), 1: np.array([3.0, 0, 0])})
         assert location_errors(est, gt) == (2.0, 2.0)
 
     def test_median_of_three(self):
-        gt = {v: np.zeros(3) for v in range(3)}
-        est = {0: np.zeros(3), 1: np.zeros(3), 2: np.array([3.0, 0, 0])}
+        gt = locations({v: np.zeros(3) for v in range(3)})
+        est = locations({0: np.zeros(3), 1: np.zeros(3), 2: np.array([3.0, 0, 0])})
         assert location_errors(est, gt) == (1.0, 0.0)
 
     def test_empty_intersection(self):
-        with pytest.raises(ValueError):
-            location_errors({0: np.zeros(3)}, {1: np.zeros(3)})
+        with pytest.raises(ValueError, match="^no common vertices between estimate and reference$"):
+            location_errors(locations({0: np.zeros(3)}), locations({1: np.zeros(3)}))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_dict_formula_on_partial_overlap(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        shared = [rng.integers(n)]
+        est = random_points(rng, np.union1d(np.flatnonzero(rng.random(n) < 0.7), shared))
+        gt = random_points(rng, np.union1d(np.flatnonzero(rng.random(n) < 0.7), shared))
+        got = location_errors(locations(est), locations(gt))
+        assert np.array_equal(got, dict_location_errors(est, gt))
+
+
+class TestAlignSimilarity:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_dict_formula(self, seed):
+        # the estimate covers part of the reference's vertices
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(3, 400))
+        gt = random_points(rng, range(n))
+        est = random_points(rng, rng.choice(n, size=rng.integers(2, n), replace=False))
+        s, b, aligned = align_similarity(locations(est), locations(gt))
+        s_o, b_o, aligned_o = dict_align_similarity(est, gt)
+        assert s == s_o and np.array_equal(b, b_o)
+        assert aligned.vertices.tolist() == sorted(aligned_o)
+        assert np.array_equal(aligned.coords, np.array([aligned_o[v] for v in sorted(aligned_o)]))
+        assert np.array_equal(location_errors(aligned, locations(gt)), dict_location_errors(aligned_o, gt))
+
+    @pytest.mark.parametrize("missing", [[7], [2, 9, 11, 40, 41, 57, 90]])
+    def test_missing_vertex_message(self, missing):
+        gt = random_points(np.random.default_rng(1), [v for v in range(100) if v not in missing])
+        est = random_points(np.random.default_rng(2), range(0, 100, 1))
+        with pytest.raises(ValueError) as new:
+            align_similarity(locations(est), locations(gt))
+        with pytest.raises(ValueError) as old:
+            dict_align_similarity(est, gt)
+        assert str(new.value) == str(old.value) == (
+            f"vertices {missing[:5]} have no reference location"
+        )
 
 
 class TestImprovement:

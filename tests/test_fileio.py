@@ -27,7 +27,7 @@ from aabscreen.fileio import (
     write_roc_csv,
     write_statistics,
 )
-from aabscreen.graph import ViewGraph
+from aabscreen.graph import Locations, ViewGraph
 from aabscreen.synthetic import UCParams, generate_uc
 
 
@@ -117,9 +117,21 @@ class TestLocations:
         write_locations(gt.locations, 50, path)
         locs, n = parse_locations(path)
         assert n == 50
-        assert sorted(locs) == sorted(gt.locations)
-        worst = max(np.abs(locs[v] - gt.locations[v]).max() for v in locs)
-        assert worst == 0.0
+        assert np.array_equal(locs.vertices, gt.locations.vertices)
+        assert np.array_equal(locs.coords, gt.locations.coords)
+
+    def test_out_of_order_file_reads_sorted(self, tmp_path):
+        rng = np.random.default_rng(4)
+        verts = rng.choice(1000, size=200, replace=False)
+        coords = rng.normal(size=(200, 3))
+        path = tmp_path / "shuffled.txt"
+        rows = [f"{v} {x!r} {y!r} {z!r}" for v, (x, y, z) in zip(verts.tolist(), coords.tolist())]
+        path.write_text("\n".join(["# aab-locations v1 n=1000", *rows]) + "\n")
+        locs, n = parse_locations(str(path))
+        order = np.argsort(verts)
+        assert n == 1000
+        assert np.array_equal(locs.vertices, verts[order])
+        assert np.array_equal(locs.coords, coords[order])
 
     def test_non_finite_coordinate(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -322,7 +334,7 @@ class TestWriterBytes:
 
     def test_locations(self, tmp_path):
         path = tmp_path / "locations.txt"
-        write_locations({3: np.array(AWKWARD[1:]), 0: np.array(AWKWARD[:3])}, 5, str(path))
+        write_locations(Locations(np.array([0, 3]), np.array([AWKWARD[:3], AWKWARD[1:]])), 5, str(path))
         assert self.data_lines(path) == [
             f"0 {g17(-0.0)} {g17(5e-324)} {g17(1e308)}",
             f"3 {g17(5e-324)} {g17(1e308)} {g17(0.1)}",

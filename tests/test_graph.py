@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from aabscreen import graph as graph_module
-from aabscreen.graph import ViewGraph, match_edge_rows
+from aabscreen.graph import Locations, ViewGraph, match_edge_rows
 
 from conftest import unit
 
@@ -258,3 +258,23 @@ class TestChecks:
             ViewGraph.from_arrays(n, [], [], np.zeros((0, 3)))
         with pytest.raises(ValueError, match="at most 2147483647 vertices"):
             ViewGraph(n, [])
+
+
+class TestLocations:
+    def test_holds_rows_of_sorted_vertices(self):
+        coords = np.arange(9.0).reshape(3, 3)
+        locs = Locations(np.array([2, 5, 7]), coords)
+        assert locs.vertices.tolist() == [2, 5, 7]
+        assert locs.coords is coords and locs.values() is coords
+
+    def test_empty(self):
+        assert Locations(np.zeros(0, dtype=np.int64), np.zeros((0, 3))).vertices.size == 0
+
+    @pytest.mark.parametrize(
+        "vertices, shape",
+        [([2, 1, 3], (3, 3)), ([1, 1, 3], (3, 3)), ([1, 2, 3], (2, 3)), ([1, 2, 3], (3, 2))],
+        ids=["unsorted", "repeated", "too_few_rows", "not_3d"],
+    )
+    def test_rejects(self, vertices, shape):
+        with pytest.raises(ValueError, match="sorted unique vertices and one 3-vector each"):
+            Locations(np.array(vertices), np.zeros(shape))

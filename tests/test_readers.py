@@ -213,8 +213,10 @@ def test_parsed_values(tmp_path):
 
     path = write(tmp_path, "# aab-locations v1 n=4\n3 1 2 3\n0 -0.0 5e-324 1e308\n")
     locs, n = parse_locations(path)
-    assert n == 4 and list(locs) == [3, 0]
-    assert locs[3].tolist() == [1.0, 2.0, 3.0] and locs[0].tolist() == [-0.0, 5e-324, 1e308]
+    # sorted by vertex, each with its own coordinates
+    assert n == 4 and locs.vertices.tolist() == [0, 3]
+    assert locs.coords.tolist() == [[-0.0, 5e-324, 1e308], [1.0, 2.0, 3.0]]
+    assert np.signbit(locs.coords[0, 0])
 
     path = write(
         tmp_path,

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from aabscreen.aabstats import EdgeStatistics
 from aabscreen.graph import ViewGraph
 from aabscreen.screening import ScreeningPolicy, filter_edges, solvable_component
 
@@ -15,6 +19,14 @@ EZ = np.array([0.0, 0.0, 1.0])
 
 def star_of_edges(n, pairs):
     return ViewGraph(n, [(i, j, EZ) for i, j in pairs])
+
+
+def path_with_statistics(m):
+    """A path of m edges with distinct statistics in shuffled order."""
+    i = np.arange(m)
+    g = ViewGraph.from_arrays(m + 1, i, i + 1, np.tile(EZ, (m, 1)))
+    value = np.random.default_rng(m).permutation(m) / m
+    return g, EdgeStatistics(edge_array=g.edge_array, value=value)
 
 
 class TestPolicy:
@@ -47,6 +59,31 @@ class TestFilterEdges:
         stats = stats_of({(0, 1): 0.1, (1, 2): 0.2, (2, 3): 0.3, (3, 4): 0.4})
         out = filter_edges(g, stats, ScreeningPolicy(keep_fraction=0.5))
         assert out.edges() == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize(
+        "m, fraction, kept",
+        [
+            # f * m lands just above an integer in floating point
+            (100, 0.07, 7), (100, 0.14, 14), (100, 0.28, 28), (100, 0.55, 55),
+            # ... just below one, or on one
+            (100, 0.29, 29), (100, 0.5, 50), (7, 1.0, 7),
+            (101, 0.5, 51), (100, 0.001, 1), (100, 0.015, 2),
+        ],
+    )
+    def test_kept_count_table(self, m, fraction, kept):
+        g, stats = path_with_statistics(m)
+        out = filter_edges(g, stats, ScreeningPolicy(keep_fraction=fraction))
+        assert out.num_edges == kept
+        # the kept edges are those with the lowest statistics
+        assert np.array_equal(out.edge_array[:, 0], np.sort(np.argsort(stats.value)[:kept]))
+
+    def test_kept_count_is_exact_ceiling(self):
+        # every percentage on these sizes keeps ceil(f * m) of exact decimal f
+        for m in (10, 100, 1000, 10000):
+            g, stats = path_with_statistics(m)
+            for k in range(1, 100):
+                out = filter_edges(g, stats, ScreeningPolicy(keep_fraction=k / 100))
+                assert out.num_edges == math.ceil(Fraction(k, 100) * m), (m, k)
 
     def test_zero_threshold_keeps_zero_stats(self):
         g = star_of_edges(4, [(0, 1), (1, 2), (2, 3)])

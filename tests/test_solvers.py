@@ -13,13 +13,14 @@ from aabscreen import solvers
 from aabscreen.aabstats import AABConfig, ir_aab
 from aabscreen.cli import main
 from aabscreen.fileio import write_edge_list
-from aabscreen.graph import ViewGraph
+from aabscreen.graph import Locations, ViewGraph
 from aabscreen.screening import ScreeningPolicy, filter_edges, solvable_component
 from aabscreen.solvers import (
     DegenerateInstanceError,
     _form,
     _lowest_eigenpairs,
     _solve_spectral,
+    _solver_vertices,
     align_similarity,
     solve_irls_lud,
     solve_ls_spectral,
@@ -30,10 +31,22 @@ from conftest import complete_graph_from_locations
 from dense_solvers import dense_form, dense_irls_lud, dense_lowest_eigenpairs, dense_solve_spectral
 
 
+def every_vertex(t) -> Locations:
+    """Locations of vertices 0..N-1 at the rows of ``t``."""
+    t = np.asarray(t, dtype=np.float64)
+    return Locations(np.arange(len(t)), t)
+
+
 def aligned_errors(est, gt_locs):
     _, _, aligned = align_similarity(est, gt_locs)
-    d = np.array([np.linalg.norm(aligned[v] - gt_locs[v]) for v in aligned])
+    assert np.array_equal(aligned.vertices, gt_locs.vertices)
+    d = np.linalg.norm(aligned.coords - gt_locs.coords, axis=1)
     return float(d.mean()), float(np.median(d))
+
+
+def form_of(g, verts):
+    """``_form`` on the rows of ``verts``."""
+    return _form(g, np.searchsorted(verts, g.edge_array.T), verts.size)
 
 
 def corrupted_k8(seed):
@@ -47,7 +60,7 @@ def corrupted_k8(seed):
     for k in rng.choice(len(edges), size=3, replace=False):
         v = rng.normal(size=3)
         edges[k][2] = v / np.linalg.norm(v)
-    return ViewGraph(8, [tuple(e) for e in edges]), {v: t[v] for v in range(8)}
+    return ViewGraph(8, [tuple(e) for e in edges]), every_vertex(t)
 
 
 class TestSpectral:
@@ -55,7 +68,7 @@ class TestSpectral:
         t = rng.normal(size=(4, 3))
         g = complete_graph_from_locations(t)
         est = solve_ls_spectral(g)
-        mean_err, _ = aligned_errors(est, {v: t[v] for v in range(4)})
+        mean_err, _ = aligned_errors(est, every_vertex(t))
         assert mean_err <= 1e-6
 
     def test_two_vertex_instance(self):
@@ -64,9 +77,9 @@ class TestSpectral:
         assert est.residuals.shape == (1,)
         assert est.residuals[0] <= 1e-12
         # matches (0, 0, 1/2), (0, 0, -1/2) up to the scale/sign gauge
-        target = {0: np.array([0.0, 0.0, 0.5]), 1: np.array([0.0, 0.0, -0.5])}
+        target = every_vertex([[0.0, 0.0, 0.5], [0.0, 0.0, -0.5]])
         _, _, aligned = align_similarity(est, target)
-        assert max(np.linalg.norm(aligned[v] - target[v]) for v in (0, 1)) <= 1e-9
+        assert np.abs(aligned.coords - target.coords).max() <= 1e-9
 
     def test_collinear_is_degenerate(self):
         t = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
@@ -85,16 +98,15 @@ class TestSpectral:
     def test_gauge_fixing(self):
         g, _ = generate_uc(UCParams(n=40, p=0.5, q=0.2, sigma=0.05, seed=3))
         est = solve_ls_spectral(g)
-        pts = np.array(list(est.locations.values()))
+        pts = est.locations.coords
         assert np.linalg.norm(pts.mean(axis=0)) <= 1e-9
         assert abs((pts**2).sum() - 1.0) <= 1e-9
 
     def test_objective_equals_sum_of_squared_residuals(self):
         g, _ = generate_uc(UCParams(n=30, p=0.6, q=0.2, sigma=0.05, seed=4))
         est = solve_ls_spectral(g)
-        verts = np.array(sorted(est.locations))
-        t = np.array([est.locations[v] for v in verts]).ravel()
-        matvec, _ = _form(g, verts)
+        t = est.locations.coords.ravel()
+        matvec, _ = form_of(g, est.locations.vertices)
         quad = float(t @ matvec(t[None])[0])
         assert est.residuals.shape == (g.num_edges,)
         ssq = float((est.residuals**2).sum())
@@ -103,7 +115,7 @@ class TestSpectral:
     def test_quadratic_form_matches_direct_sum(self, rng):
         g, _ = generate_uc(UCParams(n=25, p=0.6, q=0.3, sigma=0.1, seed=5))
         verts = g.active_vertices()
-        matvec, _ = _form(g, verts)
+        matvec, _ = form_of(g, verts)
         pos = {int(v): k for k, v in enumerate(verts)}
         x = rng.normal(size=(verts.size, 3))
         direct = 0.0
@@ -120,7 +132,7 @@ class TestIrls:
         t = rng.normal(size=(4, 3))
         g = complete_graph_from_locations(t)
         est = solve_irls_lud(g)
-        mean_err, _ = aligned_errors(est, {v: t[v] for v in range(4)})
+        mean_err, _ = aligned_errors(est, every_vertex(t))
         assert mean_err <= 1e-6
         assert est.converged
         assert est.iterations <= 3
@@ -194,7 +206,7 @@ class TestDenseOracle:
         verts = g.active_vertices()
         a = dense_form(g, verts)
         x = np.random.default_rng(3).standard_normal((3, a.shape[0]))
-        matvec, c = _form(g, verts)
+        matvec, c = form_of(g, verts)
         assert np.abs(matvec(x) - x @ a).max() <= 1e-13 * np.abs(a).sum(axis=1).max()
         # c is the Gershgorin bound: the largest absolute row sum of the form
         assert c == pytest.approx(np.abs(a).sum(axis=1).max(), rel=1e-12)
@@ -203,15 +215,15 @@ class TestDenseOracle:
     @pytest.mark.parametrize("name", ORACLE_INSTANCES)
     def test_spectral_matches_dense(self, name):
         g = oracle_instance(name)
-        verts, t, res = _solve_spectral(g)
-        verts_o, t_o, res_o = dense_solve_spectral(g)
+        verts, ends, t, res = _solve_spectral(g)
+        verts_o, _, t_o, res_o = dense_solve_spectral(g)
         assert np.array_equal(verts, verts_o)
         # the eigenvector sign is arbitrary on both paths
         sign = 1.0 if np.sum(t * t_o) >= 0.0 else -1.0
         assert np.abs(sign * t - t_o).max() <= 1e-12
         assert np.abs(res - res_o).max() <= 1e-12
 
-        evals, _ = _lowest_eigenpairs(g, verts)
+        evals, _ = _lowest_eigenpairs(g, ends, verts.size)
         evals_o, _ = dense_lowest_eigenpairs(g, verts)
         gap, gap_o = evals[1] - evals[0], evals_o[1] - evals_o[0]
         assert abs(gap - gap_o) <= 1e-9 * gap_o
@@ -223,9 +235,8 @@ class TestDenseOracle:
         ref = dense_irls_lud(g)
         assert est.iterations == ref.iterations
         assert est.converged == ref.converged
-        t = np.array([est.locations[v] for v in sorted(est.locations)])
-        t_o = np.array([ref.locations[v] for v in sorted(ref.locations)])
-        assert np.abs(t - t_o).max() <= 1e-8
+        assert np.array_equal(est.locations.vertices, ref.locations.vertices)
+        assert np.abs(est.locations.coords - ref.locations.coords).max() <= 1e-8
         trace, trace_o = np.array(est.objective_trace), np.array(ref.objective_trace)
         assert trace.shape == trace_o.shape
         assert np.all(np.abs(trace - trace_o) <= 1e-9 * np.abs(trace_o))
@@ -285,8 +296,8 @@ def test_krylov_basis_grows_with_the_vectors_used(monkeypatch):
     used = []
     real_form = solvers._form
 
-    def counting_form(g, verts):
-        matvec, c = real_form(g, verts)
+    def counting_form(g, ends, n):
+        matvec, c = real_form(g, ends, n)
 
         def counted(q):
             used.append(q.shape[0])
@@ -307,8 +318,8 @@ def test_krylov_basis_grows_with_the_vectors_used(monkeypatch):
     unused = (cap - rows) * dim * 8
     assert unused > 4e6
     assert full_peak - peak >= unused
-    for v in est.locations:
-        assert np.array_equal(est.locations[v], full.locations[v])
+    assert np.array_equal(est.locations.vertices, full.locations.vertices)
+    assert np.array_equal(est.locations.coords, full.locations.coords)
     assert np.array_equal(est.residuals, full.residuals)
 
 
@@ -339,10 +350,10 @@ class TestFailedFactorization:
         real = solvers._solve_spectral
 
         def start(g):
-            verts, t, res = real(g)
+            verts, ends, t, res = real(g)
             t = t.copy()
             t[0] = np.nan
-            return verts, t, res
+            return verts, ends, t, res
 
         monkeypatch.setattr(solvers, "_solve_spectral", start)
 
@@ -373,9 +384,9 @@ class TestFailedFactorization:
             if np.abs(corners[a] - corners[b]).sum() == 1
         ]
         g = ViewGraph(8, edges)
-        verts = np.arange(8)
+        verts, ends = _solver_vertices(g)
         t = corners - 0.5
-        monkeypatch.setattr(solvers, "_solve_spectral", lambda g: (verts, t, np.zeros(12)))
+        monkeypatch.setattr(solvers, "_solve_spectral", lambda g: (verts, ends, t, np.zeros(12)))
         with pytest.raises(DegenerateInstanceError, match="IRLS iteration 2: .* not finite"):
             solve_irls_lud(g, delta=1e-308)
 
@@ -405,45 +416,49 @@ class TestFailedFactorization:
 
 class TestAlignment:
     def test_identity(self, rng):
-        t = {v: rng.normal(size=3) for v in range(5)}
+        t = every_vertex(rng.normal(size=(5, 3)))
         s, b, aligned = align_similarity(t, t)
         assert s == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(b) <= 1e-12
-        assert all(np.linalg.norm(aligned[v] - t[v]) <= 1e-12 for v in t)
+        assert np.abs(aligned.coords - t.coords).max() <= 1e-12
 
     def test_exact_inverse(self, rng):
-        gt = {v: rng.normal(size=3) for v in range(5)}
-        est = {v: 2.0 * gt[v] + 1.0 for v in gt}
+        gt = every_vertex(rng.normal(size=(5, 3)))
+        est = every_vertex(2.0 * gt.coords + 1.0)
         s, b, aligned = align_similarity(est, gt)
         assert s == pytest.approx(0.5, abs=1e-12)
         assert np.allclose(b, -0.5, atol=1e-12)
-        assert all(np.linalg.norm(aligned[v] - gt[v]) <= 1e-12 for v in gt)
+        assert np.abs(aligned.coords - gt.coords).max() <= 1e-12
 
     def test_vertex_mismatch(self, rng):
-        gt = {v: rng.normal(size=3) for v in range(3)}
-        est = {v: rng.normal(size=3) for v in range(4)}
-        with pytest.raises(ValueError, match="reference"):
+        gt = every_vertex(rng.normal(size=(3, 3)))
+        est = every_vertex(rng.normal(size=(4, 3)))
+        with pytest.raises(ValueError, match=r"^vertices \[3\] have no reference location$"):
             align_similarity(est, gt)
 
+    def test_empty_estimate(self):
+        with pytest.raises(ValueError, match="^empty estimate$"):
+            align_similarity(every_vertex(np.zeros((0, 3))), every_vertex(np.ones((3, 3))))
+
     def test_coincident_estimate_rejected(self):
-        est = {v: np.zeros(3) for v in range(3)}
-        gt = {v: np.ones(3) * v for v in range(3)}
+        est = every_vertex(np.zeros((3, 3)))
+        gt = every_vertex(np.ones((3, 3)) * np.arange(3)[:, None])
         with pytest.raises(ValueError, match="coincide"):
             align_similarity(est, gt)
 
     def test_reflection_absorbed(self, rng):
-        gt = {v: rng.normal(size=3) for v in range(6)}
-        est = {v: -gt[v] for v in gt}
+        gt = every_vertex(rng.normal(size=(6, 3)))
+        est = every_vertex(-gt.coords)
         s, _, aligned = align_similarity(est, gt)
         assert s == pytest.approx(-1.0, abs=1e-12)
-        assert all(np.linalg.norm(aligned[v] - gt[v]) <= 1e-12 for v in gt)
+        assert np.abs(aligned.coords - gt.coords).max() <= 1e-12
 
     def test_gauge_invariance_of_errors(self, rng):
         t = rng.normal(size=(5, 3))
         g = complete_graph_from_locations(t)
         est = solve_ls_spectral(g)
-        gt1 = {v: t[v] for v in range(5)}
-        gt2 = {v: 3.5 * t[v] + np.array([1.0, -2.0, 0.5]) for v in range(5)}
+        gt1 = every_vertex(t)
+        gt2 = every_vertex(3.5 * t + np.array([1.0, -2.0, 0.5]))
         e1 = aligned_errors(est, gt1)[0]
         e2 = aligned_errors(est, gt2)[0] / 3.5
         assert e1 == pytest.approx(e2, abs=1e-9)

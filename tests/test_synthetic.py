@@ -60,8 +60,9 @@ class TestGenerate:
     def test_clean_directions_match_locations(self):
         g, gt = generate_uc(UCParams(n=20, p=0.7, q=0.3, sigma=0.1, seed=5))
         assert np.array_equal(gt.edge_array, g.edge_array)
+        assert np.array_equal(gt.locations.vertices, np.arange(20))
         for (i, j), d in zip(g.edges(), gt.clean_directions):
-            diff = gt.locations[i] - gt.locations[j]
+            diff = gt.locations.coords[i] - gt.locations.coords[j]
             expected = diff / np.linalg.norm(diff)
             assert np.abs(d - expected).max() <= 1e-12
 
@@ -116,9 +117,43 @@ class TestLocations:
         expected = derive_rng(17, TAG_LOCATIONS).normal(size=(150, 3))
         assert np.array_equal(synthetic._draw_locations(params), expected)
 
-    def test_coincident_rows_found_across_blocks(self):
-        t = np.random.default_rng(3).normal(size=(9, 3))
-        t[7] = t[1]
-        assert synthetic._min_distance(t, 0, 4) == 0.0
-        assert synthetic._min_distance(t, 4, 9) == 0.0
-        assert synthetic._min_distance(np.delete(t, 7, axis=0), 0, 8) > 0.0
+    @staticmethod
+    def brute_force_coincident(t):
+        """Whether two rows lie closer than the tolerance, over all pairs."""
+        dist = np.linalg.norm(t[:, None, :] - t[None, :, :], axis=2)
+        dist[np.diag_indices(len(t))] = np.inf
+        return bool(dist.min() < synthetic._COINCIDENT_TOL)
+
+    def test_coincident_rows_as_brute_force(self):
+        found = []
+        for trial in range(300):
+            rng = np.random.default_rng(trial)
+            n = int(rng.integers(2, 60))
+            t = rng.normal(size=(n, 3))
+            a, b = rng.choice(n, size=2, replace=False)
+            plant = trial % 5
+            if plant == 1:  # an exact duplicate
+                t[b] = t[a]
+            elif plant == 2:  # equal x, far apart
+                t[b, 0] = t[a, 0]
+            elif plant == 3:  # a near pair, about 3e-13 apart
+                t[b] = t[a] + 3e-13 * rng.normal(size=3) / math.sqrt(3.0)
+            elif plant == 4:  # every x equal, one pair near or not
+                t[:, 0] = t[0, 0]
+                t[b, 1:] = t[a, 1:] + rng.choice([0.0, 1e-13, 1e-11], size=2)
+            found.append(synthetic._has_coincident_rows(t))
+            assert found[-1] == self.brute_force_coincident(t), trial
+        # both decisions occur, and every planted duplicate is found
+        assert all(found[1::5]) and not any(found[0::5]) and not all(found)
+
+    def test_redraws_coincident_rows(self, monkeypatch):
+        params = UCParams(n=150, p=0.1, q=0.2, sigma=0.05, seed=17)
+        rng = derive_rng(17, TAG_LOCATIONS)
+        first = rng.normal(size=(150, 3))
+        calls = []
+        monkeypatch.setattr(
+            synthetic, "_has_coincident_rows", lambda t: calls.append(t) or len(calls) == 1
+        )
+        t = synthetic._draw_locations(params)
+        assert len(calls) == 2 and np.array_equal(calls[0], first)
+        assert np.array_equal(t, rng.normal(size=(150, 3)))
