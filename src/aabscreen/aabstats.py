@@ -51,8 +51,9 @@ class AABConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.s < 1:
-            raise ValueError("s must be >= 1")
+        # the cache's int32 multiplicities count up to s draws
+        if not 1 <= self.s <= 2**31 - 1:
+            raise ValueError("s must be in [1, 2**31 - 1]")
         if self.T < 1:
             raise ValueError("T must be >= 1")
 
@@ -67,9 +68,9 @@ class TripleCache:
     ``edge_rows``/``rows_jk``/``rows_ki`` index the graph's canonical edge
     arrays.  Rows are ordered by edge row, then by k.
 
-    ``inconsistencies`` is float64.  The five integer fields share one
-    dtype, int32 unless n, m or s exceeds 2**31 - 1 (then intp), so a row
-    takes 28 bytes.
+    ``inconsistencies`` is float64 and the five integer fields are int32,
+    as the graph's row map is (s is at most 2**31 - 1), so a row takes 28
+    bytes.
     """
 
     edge_rows: np.ndarray
@@ -198,12 +199,6 @@ def _sample_block(g: ViewGraph, cfg: AABConfig, rows: np.ndarray):
     return _triangles(g, seen + lo), counts[seen]
 
 
-def _index_dtype(n: int, m: int, s: int) -> np.dtype:
-    """Dtype of the cache's integer fields: their values lie below n or m,
-    or are at most s, so int32 holds them while all three fit."""
-    return np.dtype(np.int32 if max(n, m, s) <= np.iinfo(np.int32).max else np.intp)
-
-
 def _build_cache(g: ViewGraph, cfg: AABConfig) -> TripleCache:
     """Sample triangles, redraw degenerate ones, evaluate each distinct
     retained triangle once.
@@ -216,9 +211,8 @@ def _build_cache(g: ViewGraph, cfg: AABConfig) -> TripleCache:
     supported = np.flatnonzero(np.diff(indptr))
     per_block = max(1, _BLOCK_ROWS // cfg.s)
     d = g.direction_array
-    idx = _index_dtype(g.n, g.num_edges, cfg.s)
     # edge_rows, neighbors, rows_jk, rows_ki, inconsistencies, multiplicity
-    dtypes = (idx,) * 4 + (np.dtype(np.float64), idx)
+    dtypes = (np.int32,) * 4 + (np.float64, np.int32)
     parts = tuple([] for _ in dtypes)
     for b in range(0, supported.size, per_block):
         tri, mult = _sample_block(g, cfg, supported[b : b + per_block])

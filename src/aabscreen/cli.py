@@ -64,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", required=True)
     p.add_argument("--solver", choices=["ls", "irls"], required=True)
     p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--delta", type=float, default=1e-8)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_solve)
 
@@ -165,7 +164,7 @@ def _cmd_solve(args) -> int:
     if args.solver == "ls":
         est = solve_ls_spectral(g)
     else:
-        est = solve_irls_lud(g, max_iters=args.max_iters, delta=args.delta)
+        est = solve_irls_lud(g, max_iters=args.max_iters)
     meta = {
         "solver": args.solver,
         "converged": est.converged,
@@ -295,8 +294,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, KeyError, RuntimeError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation; a bare one says nothing
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -36,7 +36,6 @@ alignment, whose scale is sign-free and absorbs the reflection.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -57,6 +56,9 @@ __all__ = [
 _GAP_TOL = 1e-10
 
 _CONVERGENCE_TOL = 1e-10
+
+# IRLS's inlier floor delta: an edge whose residual is below it weighs 1 / delta.
+_DELTA = 1e-8
 
 # Krylov eigensolver: start vectors, steps between convergence checks,
 # residual tolerance relative to the largest Ritz value, error bound of the
@@ -293,7 +295,7 @@ def solve_ls_spectral(g: ViewGraph) -> LocationEstimate:
     return LocationEstimate(Locations(verts, t), res, converged=True, iterations=1)
 
 
-def solve_irls_lud(g: ViewGraph, max_iters: int = 100, delta: float = 1e-8) -> LocationEstimate:
+def solve_irls_lud(g: ViewGraph, max_iters: int = 100) -> LocationEstimate:
     """Robust locations by iteratively reweighted least squares.
 
     Approximately minimizes the sum over edges of the distance from
@@ -304,8 +306,8 @@ def solve_irls_lud(g: ViewGraph, max_iters: int = 100, delta: float = 1e-8) -> L
     1 / max(r_e, delta), and solves the weighted normal equations, a graph
     Laplacian system.  The floor l >= 1 prevents the near-collapsed
     configurations that otherwise minimize the unsquared objective under
-    heavy corruption; ``delta`` is the residual scale below which an edge is
-    treated as an inlier.
+    heavy corruption; delta = 1e-8 is the residual scale below which an edge
+    is treated as an inlier.
 
     Iterates are compared after gauge fixing and similarity alignment;
     convergence at change <= 1e-10 or after ``max_iters`` total iterations
@@ -313,8 +315,6 @@ def solve_irls_lud(g: ViewGraph, max_iters: int = 100, delta: float = 1e-8) -> L
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must be finite and > 0, got {delta!r}")
 
     verts, ends, t, _ = _solve_spectral(g)
     n = verts.size
@@ -341,8 +341,8 @@ def solve_irls_lud(g: ViewGraph, max_iters: int = 100, delta: float = 1e-8) -> L
 
     def smoothed_objective(r):
         # Huber-style descent function matched to the 1/max(r, delta) weights
-        small = r < delta
-        return float(np.where(small, (r * r + delta * delta) / (2.0 * delta), r).sum())
+        small = r < _DELTA
+        return float(np.where(small, (r * r + _DELTA * _DELTA) / (2.0 * _DELTA), r).sum())
 
     def floored_residuals(tt):
         # lengths l_e = max(1, <t_i - t_j, gamma_e>) and residuals r_e
@@ -355,7 +355,7 @@ def solve_irls_lud(g: ViewGraph, max_iters: int = 100, delta: float = 1e-8) -> L
     iterations = 1
     ell, r = floored_residuals(t)
     for _ in range(max_iters - 1):
-        w = 1.0 / np.maximum(r, delta)
+        w = 1.0 / np.maximum(r, _DELTA)
 
         # the graph has one edge per pair, so each off-diagonal entry is
         # one -w; the diagonal sums each vertex's weights
@@ -366,10 +366,9 @@ def solve_irls_lud(g: ViewGraph, max_iters: int = 100, delta: float = 1e-8) -> L
         rhs = np.bincount(rhs_index, weights=np.concatenate([contrib, -contrib]).ravel(), minlength=3 * n)
         mu = float(np.trace(lap)) / n + 1.0
         lap += mu / n
-        # finite weights and a finite diagonal bound every entry, so the
-        # factorization need not scan all n^2 of them
-        finite = np.isfinite(w).all() and np.isfinite(lap.diagonal()).all()
-        if not (finite and np.isfinite(rhs).all()):
+        # weights are at most 1 / delta, so finite weights bound every entry
+        # and the factorization need not scan all n^2 of them
+        if not (np.isfinite(w).all() and np.isfinite(rhs).all()):
             raise DegenerateInstanceError(
                 f"IRLS iteration {iterations + 1}: weighted Laplacian or right-hand side is not finite"
             )

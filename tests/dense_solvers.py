@@ -70,8 +70,9 @@ def dense_solve_spectral(g: ViewGraph):
     return verts, ends, t, _edge_residuals(g, ends, t)
 
 
-def dense_irls_lud(g: ViewGraph, max_iters: int = 100, delta: float = 1e-8):
+def dense_irls_lud(g: ViewGraph, max_iters: int = 100):
     """``solve_irls_lud`` on the dense reference solves."""
+    delta = 1e-8
     verts, ends, t, _ = dense_solve_spectral(g)
     n = verts.size
     ia, ja = ends

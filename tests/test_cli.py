@@ -68,6 +68,25 @@ class TestSubcommands:
         )
         assert code == 2
 
+    def test_screen_s_beyond_int32(self, generated, tmp_path, capsys):
+        code = run(
+            "screen", "--edges", generated["edges"], "--stat", "naive", "--s", 2**31,
+            "--seed", 1, "--out", tmp_path / "stats.csv",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: s must be in [1, 2**31 - 1]\n"
+        assert not (tmp_path / "stats.csv").exists()
+
+    def test_solve_has_no_delta(self, generated, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "solve", "--edges", generated["edges"], "--solver", "irls", "--delta", 1e-8,
+                "--out", tmp_path / "estimate.txt",
+            )
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --delta" in capsys.readouterr().err
+        assert not (tmp_path / "estimate.txt").exists()
+
     def test_missing_file_is_clean_error(self, tmp_path, capsys):
         code = run(
             "screen", "--edges", tmp_path / "nope.txt", "--stat", "naive",
@@ -448,15 +467,6 @@ class TestNonFiniteParameters:
         self.one_line_error(capsys, code, "threshold must not be NaN")
         assert not (tmp_path / "pruned.txt").exists()
 
-    @pytest.mark.parametrize("delta", ["nan", "inf"])
-    def test_solve_delta(self, generated, tmp_path, capsys, delta):
-        code = run(
-            "solve", "--edges", generated["edges"], "--solver", "irls", "--delta", delta,
-            "--out", tmp_path / "estimate.txt",
-        )
-        self.one_line_error(capsys, code, "delta must be finite and > 0")
-        assert not (tmp_path / "estimate.txt").exists()
-
     @pytest.mark.parametrize("baseline", ["0", "-1", "nan", "inf"])
     def test_evaluate_baseline_error_is_usage_error(self, generated, tmp_path, capsys, baseline):
         stats = tmp_path / "stats.csv"
@@ -483,3 +493,56 @@ class TestNonFiniteParameters:
         with pytest.raises(ValueError):
             write_json_report({"value": float("nan")}, str(path))
         assert not path.exists()
+
+
+class TestOutOfMemory:
+    """A header whose n needs more memory than the process may have fails in
+    one line.  Each stage runs in a child whose address space is capped at
+    4 GiB, so the 16 GiB allocation fails at once instead of being
+    overcommitted; without the cap the test does not run."""
+
+    LIMIT = 4 << 30
+
+    @classmethod
+    def run_capped(cls, *argv) -> subprocess.CompletedProcess:
+        resource = pytest.importorskip("resource")
+
+        def cap():
+            _, hard = resource.getrlimit(resource.RLIMIT_AS)
+            limit = cls.LIMIT if hard == resource.RLIM_INFINITY else min(cls.LIMIT, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        src = str(Path(aabscreen.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import resource, sys; from aabscreen.cli import main; "
+            f"assert 0 < resource.getrlimit(resource.RLIMIT_AS)[0] <= {cls.LIMIT}; "
+            "sys.exit(main(sys.argv[1:]))"
+        )
+        return subprocess.run(
+            [sys.executable, "-c", code, *map(str, argv)],
+            env=env, capture_output=True, text=True, preexec_fn=cap, timeout=120,
+        )
+
+    @pytest.fixture
+    def huge(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("# aab-edges v1 n=2147483647\n0 1 1 0 0\n0 2 0 1 0\n1 2 0 0 1\n")
+        return path
+
+    @pytest.mark.parametrize(
+        "stage",
+        [
+            ["screen", "--stat", "naive", "--seed", 1],
+            ["solve", "--solver", "ls"],
+        ],
+        ids=["screen", "solve-ls"],
+    )
+    def test_huge_header_fails_in_one_line(self, huge, tmp_path, stage):
+        out = tmp_path / "out.txt"
+        proc = self.run_capped(stage[0], "--edges", huge, *stage[1:], "--out", out)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Unable to allocate" in proc.stderr
+        assert not out.exists()
