@@ -11,12 +11,34 @@ import math
 import os
 import sys
 
-# Honor the thread cap before numpy gets imported by the library modules;
-# BLAS pools read these variables once at load time.
-_threads = os.environ.get("AAB_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
+import numpy as np
+
+from .aabstats import AABConfig, ir_aab, naive_aab
+from .evaluation import histogram, improvement, label_edges, location_errors, roc_auc
+from .fileio import (
+    parse_edge_list,
+    parse_labels,
+    parse_locations,
+    parse_statistics,
+    write_edge_list,
+    write_histogram_csv,
+    write_json_report,
+    write_labels,
+    write_locations,
+    write_per_iteration,
+    write_roc_csv,
+    write_statistics,
+)
+from .graph import match_edge_rows
+from .screening import ScreeningPolicy, filter_edges, solvable_component
+from .solvers import align_similarity, solve_irls_lud, solve_ls_spectral
+from .synthetic import UCParams, generate_uc
+from .verify import (
+    formula_vs_oracle,
+    mc_estimate_f,
+    mc_estimate_Z,
+    reference_mean_inconsistency,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -90,10 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    from .evaluation import label_edges
-    from .fileio import write_edge_list, write_labels, write_locations
-    from .synthetic import UCParams, generate_uc
-
     params = UCParams(n=args.n, p=args.p, q=args.q, sigma=args.sigma, seed=args.seed)
     g, gt = generate_uc(params)
     labels = label_edges(g, gt, args.sigma)
@@ -106,11 +124,6 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_screen(args) -> int:
-    import numpy as np
-
-    from .aabstats import AABConfig, ir_aab, naive_aab
-    from .fileio import parse_edge_list, write_per_iteration, write_statistics
-
     g = parse_edge_list(args.edges)
     cfg = AABConfig(s=args.s, T=args.T, seed=args.seed)
     stats = (naive_aab if args.stat == "naive" else ir_aab)(g, cfg)
@@ -124,9 +137,6 @@ def _cmd_screen(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    from .fileio import parse_edge_list, parse_statistics, write_edge_list
-    from .screening import ScreeningPolicy, filter_edges, solvable_component
-
     # --keep-fraction and --threshold are exclusive, so with a threshold the
     # fraction is the unused default
     keep = 0.5 if args.keep_fraction is None else args.keep_fraction
@@ -157,9 +167,6 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    from .fileio import parse_edge_list, write_locations
-    from .solvers import solve_irls_lud, solve_ls_spectral
-
     g = parse_edge_list(args.edges)
     if args.solver == "ls":
         est = solve_ls_spectral(g)
@@ -188,19 +195,6 @@ def _cmd_evaluate(args) -> int:
     if usage is not None:
         print(f"error: {usage}", file=sys.stderr)
         return 2
-
-    from .evaluation import histogram, improvement, location_errors, roc_auc
-    from .fileio import (
-        parse_edge_list,
-        parse_labels,
-        parse_locations,
-        parse_statistics,
-        write_histogram_csv,
-        write_json_report,
-        write_roc_csv,
-    )
-    from .graph import match_edge_rows
-    from .solvers import align_similarity
 
     # read, check and align every input before the first write, so that a
     # bad input leaves nothing in --out-dir
@@ -239,16 +233,6 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    import numpy as np
-
-    from .fileio import write_json_report
-    from .verify import (
-        formula_vs_oracle,
-        mc_estimate_f,
-        mc_estimate_Z,
-        reference_mean_inconsistency,
-    )
-
     if args.mode == "lemma":
         grid = np.linspace(0.0, np.pi, 9)
         rows = []

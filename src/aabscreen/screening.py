@@ -88,9 +88,10 @@ def solvable_component(g: ViewGraph, min_degree: int = 2) -> ViewGraph:
     if g.num_edges == 0:
         raise ValueError("graph has no edges")
 
-    deg = [g.degree(v) for v in range(g.n)]
-    alive = [d > 0 for d in deg]
-    pending = deque(v for v in range(g.n) if 0 < deg[v] < min_degree)
+    # only the peeled vertices and their neighbours are visited one by one
+    deg = np.bincount(g.edge_array.ravel(), minlength=g.n)
+    alive = deg > 0
+    pending = deque(np.flatnonzero(alive & (deg < min_degree)).tolist())
     while pending:
         v = pending.popleft()
         if not alive[v]:
@@ -102,7 +103,6 @@ def solvable_component(g: ViewGraph, min_degree: int = 2) -> ViewGraph:
                 if deg[w] < min_degree:
                     pending.append(w)
 
-    alive = np.array(alive)
     core = g.subgraph(alive[g.edge_array[:, 0]] & alive[g.edge_array[:, 1]])
     comps = core.components()
     if not comps:

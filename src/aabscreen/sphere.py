@@ -106,6 +106,13 @@ def degenerate_base_mask(G1: np.ndarray, G2: np.ndarray) -> np.ndarray:
     return z * z > 1.0 - DEGENERATE_BASE_TOL
 
 
+def _reject_degenerate_base(g1: UnitVector3, g2: UnitVector3) -> None:
+    """``degenerate_base_mask`` applied to the one pair (g1, g2)."""
+    if degenerate_base_mask(g1[None], g2[None])[0]:
+        z = float(np.dot(g1, g2))
+        raise DegenerateBaseError(f"base pair nearly (anti)parallel: g1.g2 = {z!r}")
+
+
 def aab_inconsistency(g3: UnitVector3, g1: UnitVector3, g2: UnitVector3) -> Radians:
     """Great-circle distance from ``g3`` to the consistency arc of (g1, g2):
     one row of ``aab_inconsistency_batch`` after validating the inputs.
@@ -117,9 +124,7 @@ def aab_inconsistency(g3: UnitVector3, g1: UnitVector3, g2: UnitVector3) -> Radi
     g3 = as_unit_vector(g3)
     g1 = as_unit_vector(g1)
     g2 = as_unit_vector(g2)
-    z = float(np.dot(g1, g2))
-    if z * z > 1.0 - DEGENERATE_BASE_TOL:
-        raise DegenerateBaseError(f"base pair nearly (anti)parallel: g1.g2 = {z!r}")
+    _reject_degenerate_base(g1, g2)
     return float(aab_inconsistency_batch(g3[None], g1[None], g2[None])[0])
 
 
@@ -199,9 +204,7 @@ def aab_inconsistency_oracle(
     g2 = as_unit_vector(g2)
     if steps < 2:
         raise ValueError("steps must be >= 2")
-    z = float(np.dot(g1, g2))
-    if z * z > 1.0 - DEGENERATE_BASE_TOL:
-        raise DegenerateBaseError(f"base pair nearly (anti)parallel: g1.g2 = {z!r}")
+    _reject_degenerate_base(g1, g2)
     best = np.inf
     for lo in range(0, steps, _ORACLE_CHUNK):
         idx = np.arange(lo, min(lo + _ORACLE_CHUNK, steps), dtype=np.float64)

@@ -1,10 +1,14 @@
-"""Modules of the package import only each other's public names, and every
-exported name exists."""
+"""Modules of the package import only each other's public names, every
+exported name exists, and importing the package applies the AAB_THREADS
+cap before numpy loads."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import aabscreen
@@ -35,3 +39,61 @@ def test_every_exported_name_resolves():
             if not hasattr(module, name)
         ]
     assert missing == []
+
+
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def fresh(args, **env_vars) -> subprocess.CompletedProcess:
+    """Run this aabscreen in a new interpreter whose environment has no
+    thread variables other than ``env_vars``."""
+    env = {k: v for k, v in os.environ.items() if k not in ("AAB_THREADS", *BLAS_VARS)}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    env.update(env_vars)
+    return subprocess.run(
+        [sys.executable, "-W", "default", *args], env=env, capture_output=True, text=True
+    )
+
+
+def blas_vars_after_import(**env_vars) -> list[str]:
+    code = f"import os, aabscreen; print(*(os.environ.get(v) for v in {BLAS_VARS!r}))"
+    proc = fresh(["-c", code], **env_vars)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+class TestThreadCap:
+    def test_import_sets_every_blas_variable(self):
+        assert blas_vars_after_import(AAB_THREADS="3") == ["3", "3", "3"]
+
+    def test_a_variable_set_beforehand_is_kept(self):
+        assert blas_vars_after_import(AAB_THREADS="3", OPENBLAS_NUM_THREADS="1") == ["3", "1", "3"]
+
+    def test_no_cap_sets_nothing(self):
+        assert blas_vars_after_import() == ["None", "None", "None"]
+
+    def test_cap_precedes_every_package_import(self):
+        body = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
+        cap = next(k for k, node in enumerate(body) if isinstance(node, ast.If))
+        first_import = next(k for k, node in enumerate(body) if isinstance(node, ast.ImportFrom))
+        assert cap < first_import
+        assert "AAB_THREADS" not in (PACKAGE / "cli.py").read_text(encoding="utf-8")
+
+    def test_commands_import_nothing(self):
+        tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+        offending = [
+            f"{fn.name}:{node.lineno}"
+            for fn in tree.body
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        ]
+        assert offending == []
+
+
+def test_cli_module_run_writes_nothing_to_stderr(tmp_path):
+    out = tmp_path / "z.json"
+    args = ["-m", "aabscreen.cli", "verify", "--mode", "z", "--samples", "1000"]
+    proc = fresh([*args, "--seed", "1", "--out", str(out)], AAB_THREADS="1")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert out.exists()

@@ -116,6 +116,25 @@ class TestAabInconsistency:
         with pytest.raises(ValueError):
             aab_inconsistency(2 * EZ, EX, EY)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_degenerate_exactly_where_the_batch_mask_is(self, sign):
+        # angles around the boundary sin^2 = DEGENERATE_BASE_TOL = 1e-9
+        flagged = []
+        for eps in np.linspace(0.9, 1.1, 41) * math.sqrt(1e-9):
+            g2 = as_unit_vector(sign * np.array([math.cos(eps), math.sin(eps), 0.0]))
+            masked = bool(degenerate_base_mask(EX[None], g2[None])[0])
+            for scalar in (aab_inconsistency, lambda *g: aab_inconsistency_oracle(*g, steps=2)):
+                try:
+                    scalar(EZ, EX, g2)
+                    raised = False
+                except DegenerateBaseError as exc:
+                    z = float(np.dot(EX, g2))
+                    assert str(exc) == f"base pair nearly (anti)parallel: g1.g2 = {z!r}"
+                    raised = True
+                assert raised == masked
+            flagged.append(masked)
+        assert any(flagged) and not all(flagged)
+
     def test_range_property(self, rng):
         g1 = random_units(rng, 2000)
         g2 = random_units(rng, 2000)
