@@ -87,7 +87,6 @@ class IRDiagnostics:
 
     initial_max: float
     initial_min: float
-    step: float
     taus: list[float] = field(default_factory=list)
     weight_sums: list[np.ndarray] | None = None
 
@@ -282,17 +281,14 @@ def ir_aab(g: ViewGraph, cfg: AABConfig, keep_weight_sums: bool = False) -> Edge
     big = float(cache.inconsistencies.max())
     small = float(cache.inconsistencies.min())
     if big == 0.0:
-        diag = IRDiagnostics(initial_max=0.0, initial_min=0.0, step=0.0)
+        diag = IRDiagnostics(initial_max=0.0, initial_min=0.0)
         return EdgeStatistics(
             g.edge_array, vals, per_iteration=vals[None], cache=cache, diagnostics=diag
         )
 
     step = (big - small) / cfg.T
     diag = IRDiagnostics(
-        initial_max=big,
-        initial_min=small,
-        step=step,
-        weight_sums=[] if keep_weight_sums else None,
+        initial_max=big, initial_min=small, weight_sums=[] if keep_weight_sums else None
     )
 
     supported_mask = ~np.isnan(vals)

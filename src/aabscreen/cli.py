@@ -7,6 +7,7 @@ and exits nonzero with a one-line diagnostic on any library error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -260,14 +261,7 @@ def _cmd_verify(args) -> int:
         }
     else:
         cmp_ = formula_vs_oracle(args.samples, args.oracle_steps, args.seed)
-        payload = {
-            "mode": "formula",
-            "samples": cmp_.samples,
-            "oracle_steps": cmp_.oracle_steps,
-            "seed": cmp_.seed,
-            "max_abs_dev_corrected": cmp_.max_abs_dev_corrected,
-            "max_abs_dev_as_printed": cmp_.max_abs_dev_as_printed,
-        }
+        payload = {"mode": "formula", **dataclasses.asdict(cmp_)}
     write_json_report(payload, args.out)
     print(f"verification report written to {args.out}")
     return 0

@@ -86,6 +86,8 @@ class ExpectationGap:
 
 def label_edges(g: ViewGraph, gt: GroundTruth, sigma: float) -> EdgeLabels:
     """Corruption angles and threshold labels for every edge of ``g``."""
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     rows = match_edge_rows(gt.edge_array, g.edge_array, "ground truth does not cover edge {}")
     angles = great_circle_distance_batch(g.direction_array, gt.clean_directions[rows])
     cut = max(float(np.arcsin(min(sigma, 1.0))), _ZERO_ANGLE_TOL)

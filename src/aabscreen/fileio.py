@@ -3,8 +3,8 @@
 All formats are line-oriented ASCII with '#' comment lines; the first line
 is a versioned header.  Floats are written with 17 significant digits so a
 round trip preserves the value to the last bit before renormalization.
-Writers go through a temp file and an atomic rename: a failed run never
-leaves a partial output behind.
+Every writer goes through ``_write``: a temp file and an atomic rename, so a
+failed run never leaves a partial output behind.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import json
 import math
 import os
 import string
+from collections import namedtuple
+from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -42,31 +44,40 @@ __all__ = [
 
 _EDGE_HEADER = "# aab-edges v1"
 _LOC_HEADER = "# aab-locations v1"
-_STAT_HEADER = "# aab-stats v1"
-_LABEL_HEADER = "# aab-labels v1"
+
+# an "i,j,value,flag" file: its header, its column line, the plural noun of
+# its coverage message, and whether a set flag skips the value
+_EdgeTable = namedtuple("_EdgeTable", "header columns name flag_skips_value")
+
+_STATS = _EdgeTable("# aab-stats v1", "i,j,statistic,unsupported", "statistics", True)
+_LABELS = _EdgeTable("# aab-labels v1", "i,j,angle,corrupted", "labels", False)
 
 
 class FileFormatError(ValueError):
     """Malformed input file; the message carries path and line number."""
 
 
-def _atomic_write(path: str, lines: Iterable[str]) -> None:
+def _escape(text: str) -> str:
+    r"""``text`` with each character outside printable ASCII (0x20-0x7e) as
+    its Python escape, such as \xe9 or \n."""
+    return "".join(c if " " <= c <= "~" else c.encode("unicode_escape").decode() for c in text)
+
+
+def _write(path: str, header: str, metadata: Mapping | None, *parts: Iterable[str]) -> None:
+    """Write the ``header`` line, one "# key=value" line per ``metadata``
+    entry, escaped so that it stays one ASCII line, then the lines of each
+    of ``parts``; through a temp file renamed over ``path``."""
+    meta = (f"# {_escape(f'{key}={value}')}" for key, value in (metadata or {}).items())
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="ascii") as fh:
-            for line in lines:
+            for line in chain([header], meta, *parts):
                 fh.write(line)
                 fh.write("\n")
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-
-
-def _metadata_lines(metadata: Mapping[str, object] | None) -> list[str]:
-    if not metadata:
-        return []
-    return [f"# {key}={metadata[key]}" for key in metadata]
 
 
 # the messages of graph.pair_checks, formatted with the row's ids
@@ -191,13 +202,9 @@ class _Reader:
 
 def write_edge_list(g: ViewGraph, path: str, metadata: Mapping[str, object] | None = None) -> None:
     """Write "i j gx gy gz" lines in canonical order."""
-    lines = [f"{_EDGE_HEADER} n={g.n}"]
-    lines += _metadata_lines(metadata)
-    lines += [
-        "%d %d %.17g %.17g %.17g" % (i, j, x, y, z)
-        for (i, j), (x, y, z) in zip(g.edge_array.tolist(), g.direction_array.tolist())
-    ]
-    _atomic_write(path, lines)
+    rows = zip(g.edge_array.tolist(), g.direction_array.tolist())
+    lines = ("%d %d %.17g %.17g %.17g" % (i, j, x, y, z) for (i, j), (x, y, z) in rows)
+    _write(path, f"{_EDGE_HEADER} n={g.n}", metadata, lines)
 
 
 def parse_edge_list(path: str) -> ViewGraph:
@@ -229,11 +236,9 @@ def write_locations(
     locations: Locations, n: int, path: str, metadata: Mapping[str, object] | None = None
 ) -> None:
     """Write "v x y z" lines in vertex order."""
-    lines = [f"{_LOC_HEADER} n={n}"]
-    lines += _metadata_lines(metadata)
     rows = zip(locations.vertices.tolist(), locations.coords.tolist())
-    lines += ["%d %.17g %.17g %.17g" % (v, x, y, z) for v, (x, y, z) in rows]
-    _atomic_write(path, lines)
+    lines = ("%d %.17g %.17g %.17g" % (v, x, y, z) for v, (x, y, z) in rows)
+    _write(path, f"{_LOC_HEADER} n={n}", metadata, lines)
 
 
 def parse_locations(path: str) -> tuple[Locations, int]:
@@ -256,20 +261,29 @@ def parse_locations(path: str) -> tuple[Locations, int]:
 # -- statistics and labels ----------------------------------------------------
 
 
-def _parse_edge_table(path: str, header: str, columns: str, flag_skips_value: bool):
+def _write_edge_table(table, g, edge_array, value, flag, path, metadata) -> None:
+    """One row "i,j,value,flag" per edge of ``g``, from the rows of
+    ``edge_array``; a NaN value is written "nan"."""
+    rows = match_edge_rows(edge_array, g.edge_array, f"{table.name} do not cover edge {{}}")
+    cells = zip(g.edge_array.tolist(), value[rows].tolist(), flag[rows].tolist())
+    lines = ("%d,%d,%.17g,%d" % (i, j, v, f) for (i, j), v, f in cells)
+    _write(path, f"{table.header} n={g.n}", metadata, [table.columns], lines)
+
+
+def _parse_edge_table(path: str, table: _EdgeTable):
     """The (m, 2) pairs, values (NaN where skipped) and flags of the rows
-    "i,j,value,flag" of a statistics or labels file, sorted by pair.
+    "i,j,value,flag" of ``table``, sorted by pair.
 
     On the first faulty line, reports the first of: column count, tokens,
     i < j, id range, repeated pair, a flag other than 0 or 1 and, unless the
-    flag is set and ``flag_skips_value``, the value token and a finite value.
+    flag is set and skips the value, the value token and a finite value.
     """
-    rd = _Reader(path, header)
-    _, _, what, flag_name = columns.split(",")
-    c = rd.rows(",", "could not parse row", columns, i=int, j=int, value=str, flag=int)
+    rd = _Reader(path, table.header)
+    _, _, what, flag_name = table.columns.split(",")
+    c = rd.rows(",", "could not parse row", table.columns, i=int, j=int, value=str, flag=int)
     i, j, flag = c["i"], c["j"], c["flag"]
     value, bad_value = _convert(float, c["value"])
-    skipped = (flag == 1) & flag_skips_value
+    skipped = (flag == 1) & table.flag_skips_value
     value = np.where(skipped, np.nan, value)
     rd.check(
         *zip(pair_checks(rd.n, i, j), _PAIR_MESSAGES),
@@ -287,77 +301,48 @@ def _parse_edge_table(path: str, header: str, columns: str, flag_skips_value: bo
 
 
 def write_statistics(
-    g: ViewGraph,
-    stats: EdgeStatistics,
-    path: str,
-    metadata: Mapping[str, object] | None = None,
+    g: ViewGraph, stats: EdgeStatistics, path: str, metadata: Mapping[str, object] | None = None
 ) -> None:
     """One row per edge of ``g``: "i,j,statistic,unsupported"."""
-    rows = match_edge_rows(stats.edge_array, g.edge_array, "statistics do not cover edge {}")
-    lines = [f"{_STAT_HEADER} n={g.n}"]
-    lines += _metadata_lines(metadata)
-    lines.append("i,j,statistic,unsupported")
-    lines += [
-        "%d,%d,nan,1" % (i, j) if math.isnan(v) else "%d,%d,%.17g,0" % (i, j, v)
-        for (i, j), v in zip(g.edge_array.tolist(), stats.value[rows].tolist())
-    ]
-    _atomic_write(path, lines)
+    value = stats.value
+    _write_edge_table(_STATS, g, stats.edge_array, value, np.isnan(value), path, metadata)
 
 
 def write_per_iteration(
-    g: ViewGraph,
-    stats: EdgeStatistics,
-    path: str,
-    metadata: Mapping[str, object] | None = None,
+    g: ViewGraph, stats: EdgeStatistics, path: str, metadata: Mapping[str, object] | None = None
 ) -> None:
     """Rows "t,i,j,value" of every kept round, supported edges only.
 
     Writes the header alone when ``stats`` kept no rounds.
     """
-    lines = [f"# aab-stats-periter v1 n={g.n}"]
-    lines += _metadata_lines(metadata)
-    lines.append("t,i,j,value")
     edges = stats.edge_array.tolist()
-    rounds = [] if stats.per_iteration is None else stats.per_iteration.tolist()
-    for t, vals in enumerate(rounds):
-        lines += [
-            "%d,%d,%d,%.17g" % (t, i, j, v) for (i, j), v in zip(edges, vals) if not math.isnan(v)
-        ]
-    _atomic_write(path, lines)
+    rounds = () if stats.per_iteration is None else stats.per_iteration
+    lines = (
+        "%d,%d,%d,%.17g" % (t, i, j, v)
+        for t, vals in enumerate(rounds)
+        for (i, j), v in zip(edges, vals.tolist())
+        if not math.isnan(v)
+    )
+    _write(path, f"# aab-stats-periter v1 n={g.n}", metadata, ["t,i,j,value"], lines)
 
 
 def parse_statistics(path: str) -> EdgeStatistics:
     """Read a statistics file; rows come back in canonical edge order."""
-    edge_array, value, _ = _parse_edge_table(
-        path, _STAT_HEADER, "i,j,statistic,unsupported", flag_skips_value=True
-    )
+    edge_array, value, _ = _parse_edge_table(path, _STATS)
     return EdgeStatistics(edge_array=edge_array, value=value)
 
 
 def write_labels(
-    g: ViewGraph,
-    labels: EdgeLabels,
-    path: str,
-    metadata: Mapping[str, object] | None = None,
+    g: ViewGraph, labels: EdgeLabels, path: str, metadata: Mapping[str, object] | None = None
 ) -> None:
-    rows = match_edge_rows(labels.edge_array, g.edge_array, "labels do not cover edge {}")
-    lines = [f"{_LABEL_HEADER} n={g.n}"]
-    lines += _metadata_lines(metadata)
-    lines.append("i,j,angle,corrupted")
-    angle = labels.angle[rows].tolist()
-    corrupted = labels.corrupted[rows].tolist()
-    lines += [
-        "%d,%d,%.17g,%d" % (i, j, a, c)
-        for (i, j), a, c in zip(g.edge_array.tolist(), angle, corrupted)
-    ]
-    _atomic_write(path, lines)
+    """One row per edge of ``g``: "i,j,angle,corrupted"."""
+    edge_array = labels.edge_array
+    _write_edge_table(_LABELS, g, edge_array, labels.angle, labels.corrupted, path, metadata)
 
 
 def parse_labels(path: str) -> EdgeLabels:
     """Read a labels file; rows come back in canonical edge order."""
-    edge_array, angle, corrupted = _parse_edge_table(
-        path, _LABEL_HEADER, "i,j,angle,corrupted", flag_skips_value=False
-    )
+    edge_array, angle, corrupted = _parse_edge_table(path, _LABELS)
     return EdgeLabels(edge_array=edge_array, angle=angle, corrupted=corrupted)
 
 
@@ -365,31 +350,20 @@ def parse_labels(path: str) -> EdgeLabels:
 
 
 def write_roc_csv(roc: RocCurve, path: str, metadata: Mapping[str, object] | None = None) -> None:
-    lines = ["# aab-roc v1"]
-    lines += _metadata_lines(metadata)
-    lines.append("threshold,fpr,tpr")
-    lines += [
-        "%.17g,%.17g,%.17g" % row
-        for row in zip(roc.thresholds.tolist(), roc.fpr.tolist(), roc.tpr.tolist())
-    ]
-    lines.append("# auc=NA" if roc.auc is None else "# auc=%.17g" % roc.auc)
-    _atomic_write(path, lines)
+    rows = zip(roc.thresholds.tolist(), roc.fpr.tolist(), roc.tpr.tolist())
+    lines = ("%.17g,%.17g,%.17g" % row for row in rows)
+    auc = "# auc=NA" if roc.auc is None else "# auc=%.17g" % roc.auc
+    _write(path, "# aab-roc v1", metadata, ["threshold,fpr,tpr"], lines, [auc])
 
 
 def write_histogram_csv(
     hist: HistogramCounts, path: str, metadata: Mapping[str, object] | None = None
 ) -> None:
-    lines = ["# aab-hist v1"]
-    lines += _metadata_lines(metadata)
-    lines.append("bin_left,bin_right,corrupted,uncorrupted")
     edges = hist.bin_edges.tolist()
-    lines += [
-        "%.17g,%.17g,%d,%d" % row
-        for row in zip(edges, edges[1:], hist.corrupted.tolist(), hist.uncorrupted.tolist())
-    ]
-    _atomic_write(path, lines)
+    rows = zip(edges, edges[1:], hist.corrupted.tolist(), hist.uncorrupted.tolist())
+    lines = ("%.17g,%.17g,%d,%d" % row for row in rows)
+    _write(path, "# aab-hist v1", metadata, ["bin_left,bin_right,corrupted,uncorrupted"], lines)
 
 
 def write_json_report(payload: dict, path: str) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    _atomic_write(path, [text])
+    _write(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False), None)

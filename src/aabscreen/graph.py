@@ -254,9 +254,6 @@ class ViewGraph:
     def neighbors(self, i: int) -> np.ndarray:
         return self._nbr[self._nbr_ptr[i] : self._nbr_ptr[i + 1]]
 
-    def degree(self, i: int) -> int:
-        return int(self._nbr_ptr[i + 1] - self._nbr_ptr[i])
-
     # -- triangle machinery --------------------------------------------------
 
     @cached_property

@@ -398,7 +398,9 @@ def _fit_similarity(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     xc = x - x.mean(axis=0)
     yc = y - y.mean(axis=0)
     denom = float(np.sum(xc * xc))
-    if denom < 1e-15:
+    # scale-free: a spread below 1e-10 of the points' size is the rounding
+    # of their mean, not a shape
+    if denom <= 1e-20 * float(np.sum(x * x)):
         raise ValueError("all source points coincide; similarity fit is undefined")
     s = float(np.sum(xc * yc)) / denom
     b = y.mean(axis=0) - s * x.mean(axis=0)

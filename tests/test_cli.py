@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -373,6 +374,119 @@ class TestFullPipeline:
         ) == 0
         report = json.loads((outdir / "errors.json").read_text())
         assert "improvement_percent" in report
+
+
+@pytest.mark.parametrize("dirname", ["donn\xe9es", "a\nb"], ids=["non_ascii", "newline"])
+class TestUnusualInputPaths:
+    """The input paths that filter and evaluate record as metadata are
+    escaped to printable ASCII, so their outputs stay readable."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, dirname):
+        d = tmp_path / dirname
+        d.mkdir()
+        paths = {name: d / name for name in ("edges.txt", "loc.txt", "labels.csv", "stats.csv")}
+        assert run(
+            "generate", "--n", 30, "--p", 0.5, "--q", 0.2, "--sigma", 0.05, "--seed", 3,
+            "--out-edges", paths["edges.txt"], "--out-locations", paths["loc.txt"],
+            "--out-labels", paths["labels.csv"],
+        ) == 0
+        assert run(
+            "screen", "--edges", paths["edges.txt"], "--stat", "naive", "--seed", 3,
+            "--out", paths["stats.csv"],
+        ) == 0
+        return paths
+
+    def test_filter_then_solve(self, inputs, tmp_path, dirname):
+        pruned = tmp_path / "pruned.txt"
+        assert run(
+            "filter", "--edges", inputs["edges.txt"], "--stats", inputs["stats.csv"],
+            "--out", pruned,
+        ) == 0
+        source = f"{tmp_path}/{dirname.encode('unicode_escape').decode()}/edges.txt"
+        assert f"# source={source}" in pruned.read_text(encoding="ascii").splitlines()
+        assert run("solve", "--edges", pruned, "--solver", "ls", "--out", tmp_path / "ls.txt") == 0
+
+    def test_evaluate(self, inputs, tmp_path):
+        outdir = tmp_path / "eval"
+        assert run(
+            "evaluate", "--edges", inputs["edges.txt"], "--stats", inputs["stats.csv"],
+            "--labels", inputs["labels.csv"], "--estimate", inputs["loc.txt"],
+            "--ground-truth", inputs["loc.txt"], "--out-dir", outdir,
+        ) == 0
+        for name in ("roc.csv", "hist.csv"):
+            lines = (outdir / name).read_text(encoding="ascii").splitlines()
+            assert [line.split("=")[0] for line in lines[1:4]] == ["# edges", "# stats", "# labels"]
+        report = json.loads((outdir / "errors.json").read_text())
+        assert report["inputs"]["edges"] == str(inputs["edges.txt"])
+
+
+# Every CLI stage on one small instance (UC n=60 p=0.5 q=0.2 sigma=0.05
+# seed 5), run in the working directory with relative paths, because the
+# filter and evaluate metadata record the input paths.
+GOLDEN_STAGES = [
+    ["generate", "--n", 60, "--p", 0.5, "--q", 0.2, "--sigma", 0.05, "--seed", 5,
+     "--out-edges", "edges.txt", "--out-locations", "locations.txt",
+     "--out-labels", "labels.csv"],
+    ["screen", "--edges", "edges.txt", "--stat", "ir", "--seed", 5, "--out", "ir.csv",
+     "--per-iteration", "periter.csv"],
+    ["screen", "--edges", "edges.txt", "--stat", "naive", "--seed", 5, "--out", "naive.csv"],
+    ["filter", "--edges", "edges.txt", "--stats", "ir.csv", "--keep-fraction", 0.5,
+     "--out", "pruned.txt"],
+    ["filter", "--edges", "edges.txt", "--stats", "naive.csv", "--threshold", 0.3,
+     "--drop-unsupported", "--out", "thresholded.txt"],
+    ["solve", "--edges", "pruned.txt", "--solver", "ls", "--out", "ls.txt"],
+    ["solve", "--edges", "pruned.txt", "--solver", "irls", "--out", "irls.txt"],
+    ["evaluate", "--edges", "edges.txt", "--stats", "ir.csv", "--labels", "labels.csv",
+     "--estimate", "irls.txt", "--ground-truth", "locations.txt", "--baseline-error", 1.0,
+     "--out-dir", "eval-full"],
+    ["evaluate", "--edges", "edges.txt", "--stats", "naive.csv", "--labels", "labels.csv",
+     "--out-dir", "eval-plain"],
+    ["verify", "--mode", "lemma", "--samples", 1000, "--seed", 5, "--out", "lemma.json"],
+    ["verify", "--mode", "z", "--samples", 1000, "--seed", 5, "--out", "z.json"],
+    ["verify", "--mode", "formula", "--samples", 1000, "--seed", 5,
+     "--oracle-steps", 10_000, "--out", "formula.json"],
+]
+
+# sha256 prefixes of every output file and of the stages' stdout, recorded
+# before the writers shared one write path (numpy 2.4, x86-64).  As with the
+# statistics goldens, the float digests rest on numpy's transcendental
+# functions and BLAS rounding the same way on another CPU or build.
+GOLDEN_OUTPUTS = {
+    "edges.txt": "79d5a791f6ccefcf",
+    "eval-full/errors.json": "4bc2d4b25ac6e9fd",
+    "eval-full/hist.csv": "96d5c745f9f4afac",
+    "eval-full/roc.csv": "1e3e5846661b741c",
+    "eval-plain/errors.json": "9fb847e5eff829ad",
+    "eval-plain/hist.csv": "97cbf48cf537d679",
+    "eval-plain/roc.csv": "77e8afabb90b41ff",
+    "formula.json": "0a4a413e4eb834e9",
+    "ir.csv": "6661262c59c6ee86",
+    "irls.txt": "576831a3a485723f",
+    "labels.csv": "ec441e2d69d47c6c",
+    "lemma.json": "75916f587c682d4e",
+    "locations.txt": "e7c1c8931d1c7813",
+    "ls.txt": "80b86880e7bfb625",
+    "naive.csv": "af7bba8bbcdd53d9",
+    "periter.csv": "b9da689d65ac7774",
+    "pruned.txt": "ca5cea6909ecbba8",
+    "thresholded.txt": "a6fa32fddf26a595",
+    "z.json": "081e8215c8faed3a",
+    "stdout": "428fd2b3cf21176e",
+}
+
+
+def test_golden_outputs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv in GOLDEN_STAGES:
+        assert run(*argv) == 0, argv
+    files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    got = {
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+        for p in files
+    }
+    got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+    assert got == GOLDEN_OUTPUTS
 
 
 def run_fresh(code: str, *argv) -> str:

@@ -86,6 +86,12 @@ class TestLabelEdges:
         with pytest.raises(ValueError, match=r"ground truth does not cover edge \(1, 2\)"):
             label_edges(other, gt, sigma=0.0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, -0.1, math.inf])
+    def test_rejects_sigma_outside_finite_nonnegative(self, sigma):
+        g, gt = two_vertex_instance([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match=rf"^sigma must be finite and >= 0, got {sigma!r}$"):
+            label_edges(g, gt, sigma)
+
 
 class TestRoc:
     def test_perfect_separation(self):

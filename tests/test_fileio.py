@@ -394,3 +394,32 @@ class TestWriterBytes:
             f"{g17(lo)},{g17(hi)},{c},{u}"
             for lo, hi, c, u in zip(edges, edges[1:], [3, 0, 7, 1], [0, 2, 0, 5])
         ]
+
+
+class TestMetadata:
+    """Each metadata entry is one "# key=value" line of printable ASCII:
+    any other character is written as its Python escape."""
+
+    # the ASCII characters at which str.splitlines, and so the readers, end a line
+    BREAKS = "\n\x0b\x0c\r\x1c\x1d\x1e"
+
+    def written(self, instance, tmp_path, value) -> list[str]:
+        g, _ = instance
+        path = tmp_path / "edges.txt"
+        write_edge_list(g, str(path), metadata={"source": value, "seed": 1})
+        assert np.array_equal(parse_edge_list(str(path)).edge_array, g.edge_array)
+        return path.read_text(encoding="ascii").splitlines()[1:3]
+
+    def test_line_breaks_stay_one_comment_line(self, instance, tmp_path):
+        ascii_chars = map(chr, range(128))
+        assert self.BREAKS == "".join(c for c in ascii_chars if len(f"a{c}b".splitlines()) > 1)
+        lines = self.written(instance, tmp_path, f"a{self.BREAKS}b")
+        assert lines == [r"# source=a\n\x0b\x0c\r\x1c\x1d\x1eb", "# seed=1"]
+
+    def test_non_ascii_is_escaped(self, instance, tmp_path):
+        lines = self.written(instance, tmp_path, "donn\xe9es/\x7f\u2028\U0001f600")
+        assert lines == [r"# source=donn\xe9es/\x7f\u2028\U0001f600", "# seed=1"]
+
+    def test_printable_ascii_keeps_its_bytes(self, instance, tmp_path):
+        printable = "".join(map(chr, range(0x20, 0x7F)))
+        assert self.written(instance, tmp_path, printable) == [f"# source={printable}", "# seed=1"]

@@ -424,6 +424,25 @@ class TestAlignment:
         with pytest.raises(ValueError, match="coincide"):
             align_similarity(est, gt)
 
+    @pytest.fixture(scope="class")
+    def ls_estimate(self):
+        g, gt = generate_uc(UCParams(n=60, p=0.5, q=0.2, sigma=0.05, seed=5))
+        return solve_ls_spectral(g).locations, gt.locations
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-8, 1e-6, 1.0, 1e6, 1e12])
+    def test_any_scale_aligns(self, ls_estimate, scale):
+        est, gt = ls_estimate
+        scaled = Locations(est.vertices, scale * est.coords)
+        assert aligned_errors(scaled, gt) == pytest.approx(aligned_errors(est, gt), rel=1e-9)
+
+    @pytest.mark.parametrize("size", [1e-12, 1.0, 1e12])
+    def test_equal_rows_rejected_at_any_size(self, size):
+        # the mean of these rows rounds, so the centred rows need not be 0
+        est = every_vertex(np.tile(size * np.array([0.1, -0.7, 0.3]), (60, 1)))
+        gt = every_vertex(np.arange(180.0).reshape(60, 3))
+        with pytest.raises(ValueError, match="^all source points coincide; similarity fit"):
+            align_similarity(est, gt)
+
     def test_reflection_absorbed(self, rng):
         gt = every_vertex(rng.normal(size=(6, 3)))
         est = every_vertex(-gt.coords)
