@@ -83,12 +83,9 @@ class TripleCache:
 
 @dataclass
 class IRDiagnostics:
-    """Reweighting internals of one ir_aab run."""
+    """Reweighting internals of one ir_aab run: the rate of each round."""
 
-    initial_max: float
-    initial_min: float
     taus: list[float] = field(default_factory=list)
-    weight_sums: list[np.ndarray] | None = None
 
 
 @dataclass
@@ -256,7 +253,7 @@ def naive_aab(g: ViewGraph, cfg: AABConfig) -> EdgeStatistics:
     return EdgeStatistics(g.edge_array, _segment_mean(cache, g.num_edges), cache=cache)
 
 
-def ir_aab(g: ViewGraph, cfg: AABConfig, keep_weight_sums: bool = False) -> EdgeStatistics:
+def ir_aab(g: ViewGraph, cfg: AABConfig) -> EdgeStatistics:
     """Iteratively reweighted AAB statistic.
 
     Runs the naive stage once (same seed, same samples), then performs
@@ -269,27 +266,21 @@ def ir_aab(g: ViewGraph, cfg: AABConfig, keep_weight_sums: bool = False) -> Edge
     statistic fall back to the median supported statistic when that edge
     is unsupported.
 
-    If every cached inconsistency is zero the naive (all-zero) statistic is
-    returned unchanged, avoiding a division by zero in the rate.
+    If no cached inconsistency is positive (none cached, or all zero), the
+    naive statistic is returned as the only round, avoiding a division by
+    zero in the rate.
     """
     cache = _build_cache(g, cfg)
     m_edges = g.num_edges
     vals = _segment_mean(cache, m_edges)
-    if cache.inconsistencies.size == 0:
-        return EdgeStatistics(g.edge_array, vals, per_iteration=vals[None], cache=cache)
-
-    big = float(cache.inconsistencies.max())
-    small = float(cache.inconsistencies.min())
+    diag = IRDiagnostics()
+    big = float(cache.inconsistencies.max(initial=0.0))
     if big == 0.0:
-        diag = IRDiagnostics(initial_max=0.0, initial_min=0.0)
         return EdgeStatistics(
             g.edge_array, vals, per_iteration=vals[None], cache=cache, diagnostics=diag
         )
 
-    step = (big - small) / cfg.T
-    diag = IRDiagnostics(
-        initial_max=big, initial_min=small, weight_sums=[] if keep_weight_sums else None
-    )
+    step = (big - float(cache.inconsistencies.min())) / cfg.T
 
     supported_mask = ~np.isnan(vals)
     per_iter = np.empty((cfg.T + 1, m_edges))
@@ -331,8 +322,6 @@ def ir_aab(g: ViewGraph, cfg: AABConfig, keep_weight_sums: bool = False) -> Edge
         w *= cache.multiplicity
         sums = np.bincount(rows, weights=w, minlength=m_edges)
         w /= np.take(sums, rows, out=per_row, mode="clip")
-        if keep_weight_sums:
-            diag.weight_sums.append(np.bincount(rows, weights=w, minlength=m_edges))
         w *= cache.inconsistencies
         new_vals = np.bincount(rows, weights=w, minlength=m_edges)
         vals = np.where(supported_mask, new_vals, np.nan)

@@ -261,7 +261,13 @@ def _cmd_verify(args) -> int:
         }
     else:
         cmp_ = formula_vs_oracle(args.samples, args.oracle_steps, args.seed)
-        payload = {"mode": "formula", **dataclasses.asdict(cmp_)}
+        payload = {
+            "mode": "formula",
+            "samples": args.samples,
+            "oracle_steps": args.oracle_steps,
+            "seed": args.seed,
+            **dataclasses.asdict(cmp_),
+        }
     write_json_report(payload, args.out)
     print(f"verification report written to {args.out}")
     return 0

@@ -41,14 +41,13 @@ class EdgeLabels:
     ``edge_array`` (sorted, unique vertex pairs).
 
     ``corrupted`` applies the evaluation rule angle > arcsin(sigma) (strict,
-    with a 1e-9 numerical-zero floor); ``generator_corrupted`` carries the
-    exact generation-time branch when known.
+    with a 1e-9 numerical-zero floor).  These are the columns of a labels
+    file.
     """
 
     edge_array: np.ndarray
     angle: np.ndarray
     corrupted: np.ndarray
-    generator_corrupted: np.ndarray | None = None
 
 
 @dataclass
@@ -91,12 +90,7 @@ def label_edges(g: ViewGraph, gt: GroundTruth, sigma: float) -> EdgeLabels:
     rows = match_edge_rows(gt.edge_array, g.edge_array, "ground truth does not cover edge {}")
     angles = great_circle_distance_batch(g.direction_array, gt.clean_directions[rows])
     cut = max(float(np.arcsin(min(sigma, 1.0))), _ZERO_ANGLE_TOL)
-    return EdgeLabels(
-        edge_array=g.edge_array,
-        angle=angles,
-        corrupted=angles > cut,
-        generator_corrupted=gt.corrupted_flags[rows],
-    )
+    return EdgeLabels(edge_array=g.edge_array, angle=angles, corrupted=angles > cut)
 
 
 def _supported_with_labels(stats: EdgeStatistics, labels: EdgeLabels):
@@ -201,7 +195,10 @@ def expectation_gap(
     labels = label_edges(g, gt, sigma=0.0)
     vals, rows = _supported_with_labels(stats, labels)
     ang = labels.angle[rows]
-    flagged = labels.generator_corrupted[rows]
+    gt_rows = match_edge_rows(
+        gt.edge_array, labels.edge_array[rows], "ground truth does not cover edge {}"
+    )
+    flagged = gt.corrupted_flags[gt_rows]
     strong = vals[flagged & (np.minimum(ang, np.pi - ang) > np.pi * epsilon / 4.0)]
     clean = vals[~flagged]
 

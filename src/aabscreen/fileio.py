@@ -66,7 +66,8 @@ def _escape(text: str) -> str:
 def _write(path: str, header: str, metadata: Mapping | None, *parts: Iterable[str]) -> None:
     """Write the ``header`` line, one "# key=value" line per ``metadata``
     entry, escaped so that it stays one ASCII line, then the lines of each
-    of ``parts``; through a temp file renamed over ``path``."""
+    of ``parts``; through a temp file renamed over ``path``.  A failure of
+    the file system is raised naming ``path``, not the temp file."""
     meta = (f"# {_escape(f'{key}={value}')}" for key, value in (metadata or {}).items())
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
@@ -75,6 +76,8 @@ def _write(path: str, header: str, metadata: Mapping | None, *parts: Iterable[st
                 fh.write(line)
                 fh.write("\n")
         os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

@@ -394,15 +394,24 @@ def solve_irls_lud(g: ViewGraph, max_iters: int = 100) -> LocationEstimate:
 
 
 def _fit_similarity(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Least-squares scale and shift mapping rows of x onto rows of y."""
-    xc = x - x.mean(axis=0)
-    yc = y - y.mean(axis=0)
+    """Least-squares scale and shift mapping rows of x onto rows of y.
+
+    Each set is first scaled by a power of two to a largest magnitude in
+    [0.5, 1), so that no square or product over- or underflows at any
+    finite size; such a scaling is exact and leaves every rounding as it is.
+    """
+    ex = np.frexp(np.abs(x).max())[1]
+    ey = np.frexp(np.abs(y).max())[1]
+    xs = np.ldexp(x, -ex)
+    ys = np.ldexp(y, -ey)
+    xc = xs - xs.mean(axis=0)
+    yc = ys - ys.mean(axis=0)
     denom = float(np.sum(xc * xc))
     # scale-free: a spread below 1e-10 of the points' size is the rounding
     # of their mean, not a shape
-    if denom <= 1e-20 * float(np.sum(x * x)):
+    if denom <= 1e-20 * float(np.sum(xs * xs)):
         raise ValueError("all source points coincide; similarity fit is undefined")
-    s = float(np.sum(xc * yc)) / denom
+    s = float(np.ldexp(np.sum(xc * yc) / denom, ey - ex))
     b = y.mean(axis=0) - s * x.mean(axis=0)
     return s, b
 

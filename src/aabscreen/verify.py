@@ -49,8 +49,6 @@ class McEstimate:
 
     value: float
     std_error: float
-    samples: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -59,9 +57,6 @@ class FormulaComparison:
 
     max_abs_dev_corrected: float
     max_abs_dev_as_printed: float
-    samples: int
-    oracle_steps: int
-    seed: int
 
 
 def reference_mean_inconsistency(x: float) -> float:
@@ -76,26 +71,26 @@ def reference_mean_inconsistency(x: float) -> float:
     return 0.5 * (x + np.sin(x))
 
 
+def _chunks(samples: int, seed: int):
+    """(rng, size) pairs that draw ``samples`` values in chunks of at most
+    _CHUNK from the one Monte Carlo stream of ``seed``."""
+    if samples < 1000:
+        raise ValueError("samples must be >= 1000")
+    rng = derive_rng(seed, TAG_MONTE_CARLO)
+    return ((rng, min(_CHUNK, samples - done)) for done in range(0, samples, _CHUNK))
+
+
 def _mc_mean(draw, samples: int, seed: int) -> McEstimate:
     """Chunked mean/SE of ``draw(rng, size) -> values``."""
-    rng = derive_rng(seed, TAG_MONTE_CARLO)
     total = 0.0
     total_sq = 0.0
-    done = 0
-    while done < samples:
-        size = min(_CHUNK, samples - done)
+    for rng, size in _chunks(samples, seed):
         vals = draw(rng, size)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
-        done += size
     mean = total / samples
     var = max(0.0, (total_sq - samples * mean * mean) / max(samples - 1, 1))
-    return McEstimate(
-        value=mean,
-        std_error=float(np.sqrt(var / samples)),
-        samples=samples,
-        seed=seed,
-    )
+    return McEstimate(value=mean, std_error=float(np.sqrt(var / samples)))
 
 
 def _redraw_degenerate(rng: np.random.Generator, fixed: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -117,8 +112,6 @@ def mc_estimate_f(x: float, samples: int, seed: int) -> McEstimate:
     """
     if not 0.0 <= x <= np.pi:
         raise ValueError("x must be in [0, pi]")
-    if samples < 1000:
-        raise ValueError("samples must be >= 1000")
     v1 = np.array([-1.0, 0.0, 0.0])
     v2 = np.array([np.cos(x), np.sin(x), 0.0])
 
@@ -131,17 +124,20 @@ def mc_estimate_f(x: float, samples: int, seed: int) -> McEstimate:
     return _mc_mean(draw, samples, seed)
 
 
+def _uniform_triples(rng: np.random.Generator, size: int):
+    """Probes g3 and base pairs (g1, g2), independent and uniform on S2, in
+    the argument order of the formulas; degenerate bases are redrawn."""
+    g1 = sample_uniform_sphere_batch(rng, size)
+    g2 = sample_uniform_sphere_batch(rng, size)
+    g3 = sample_uniform_sphere_batch(rng, size)
+    return g3, g1, _redraw_degenerate(rng, g1, g2)
+
+
 def mc_estimate_Z(samples: int, seed: int) -> McEstimate:
     """Mean AAB inconsistency of independent uniform triples."""
-    if samples < 1000:
-        raise ValueError("samples must be >= 1000")
 
     def draw(rng, size):
-        g1 = sample_uniform_sphere_batch(rng, size)
-        g2 = sample_uniform_sphere_batch(rng, size)
-        g3 = sample_uniform_sphere_batch(rng, size)
-        _redraw_degenerate(rng, g1, g2)
-        return aab_inconsistency_batch(g3, g1, g2)
+        return aab_inconsistency_batch(*_uniform_triples(rng, size))
 
     return _mc_mean(draw, samples, seed)
 
@@ -171,35 +167,21 @@ def formula_vs_oracle(samples: int, oracle_steps: int, seed: int) -> FormulaComp
     Compares both the corrected closed form and the as-printed (no square
     root) variant against the arc-scan oracle with the given grid size.
     """
-    if samples < 1000:
-        raise ValueError("samples must be >= 1000")
+    chunks = _chunks(samples, seed)
     if oracle_steps < 10_000:
         raise ValueError("oracle_steps must be >= 10000")
 
-    rng = derive_rng(seed, TAG_MONTE_CARLO)
     dev_corrected = 0.0
     dev_printed = 0.0
-    done = 0
-    while done < samples:
-        size = min(_CHUNK, samples - done)
-        g1 = sample_uniform_sphere_batch(rng, size)
-        g2 = sample_uniform_sphere_batch(rng, size)
-        g3 = sample_uniform_sphere_batch(rng, size)
-        _redraw_degenerate(rng, g1, g2)
-        oracle = aab_oracle_batch(g3, g1, g2, oracle_steps)
+    for rng, size in chunks:
+        triples = _uniform_triples(rng, size)
+        oracle = aab_oracle_batch(*triples, oracle_steps)
         dev_corrected = max(
-            dev_corrected,
-            float(np.abs(aab_inconsistency_batch(g3, g1, g2) - oracle).max()),
+            dev_corrected, float(np.abs(aab_inconsistency_batch(*triples) - oracle).max())
         )
         dev_printed = max(
-            dev_printed,
-            float(np.abs(aab_as_printed_batch(g3, g1, g2) - oracle).max()),
+            dev_printed, float(np.abs(aab_as_printed_batch(*triples) - oracle).max())
         )
-        done += size
     return FormulaComparison(
-        max_abs_dev_corrected=dev_corrected,
-        max_abs_dev_as_printed=dev_printed,
-        samples=samples,
-        oracle_steps=oracle_steps,
-        seed=seed,
+        max_abs_dev_corrected=dev_corrected, max_abs_dev_as_printed=dev_printed
     )

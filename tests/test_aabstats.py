@@ -337,6 +337,16 @@ class TestIrAab:
         assert np.array_equal(naive.value, [0.0, np.nan, 0.0], equal_nan=True)
         assert np.array_equal(ir.value, naive.value, equal_nan=True)
         assert np.array_equal(ir.per_iteration, naive.value[None], equal_nan=True)
+        assert ir.diagnostics.taus == []
+
+    def test_triangle_free_graph_takes_the_same_exit(self):
+        # no cached triangle: the same single-round result as all-zero ones
+        g = ViewGraph(4, [(0, 1, EZ), (1, 2, EZ), (2, 3, EZ)])
+        ir = ir_aab(g, AABConfig(s=5, seed=0))
+        assert np.isnan(ir.value).all()
+        assert ir.per_iteration.shape == (1, 3)
+        assert np.isnan(ir.per_iteration).all()
+        assert ir.diagnostics.taus == []
 
     def test_uniform_inconsistencies_preserved(self):
         # all cached inconsistencies equal: weights are uniform, so every
@@ -357,13 +367,6 @@ class TestIrAab:
         assert ir.per_iteration.shape == (5, g.num_edges)
         assert np.array_equal(ir.per_iteration[0], naive.value, equal_nan=True)
         assert np.array_equal(ir.per_iteration[-1], ir.value, equal_nan=True)
-
-    def test_weight_sums_normalized(self):
-        g, _ = generate_uc(UCParams(n=25, p=0.6, q=0.4, sigma=0.0, seed=14))
-        ir = ir_aab(g, AABConfig(s=10, T=5, seed=15), keep_weight_sums=True)
-        supported_rows = ~np.isnan(ir.value)
-        for sums in ir.diagnostics.weight_sums:
-            assert np.abs(sums[supported_rows] - 1.0).max() <= 1e-12
 
     def test_values_within_cached_range(self):
         g, _ = generate_uc(UCParams(n=25, p=0.6, q=0.4, sigma=0.05, seed=16))
@@ -386,15 +389,15 @@ class TestIrAab:
         assert len(taus) == cfg.T
         assert all(b > a for a, b in zip(taus, taus[1:]))
         # final divisor (M + (T-1) m) / T stays positive
-        d = ir.diagnostics
-        expected_last = math.pi * cfg.T / (d.initial_max + (cfg.T - 1) * d.initial_min)
+        inc = ir.cache.inconsistencies
+        expected_last = math.pi * cfg.T / (inc.max() + (cfg.T - 1) * inc.min())
         assert taus[-1] == pytest.approx(expected_last, rel=1e-12)
 
     def test_unsupported_neighbor_uses_median(self):
         # edge (0,2) drops out with a degenerate base yet appears as a
         # neighbor edge of (0,1); the reweighting must still run
         g = exact_zero_triangle_plus_noise()
-        ir = ir_aab(g, AABConfig(s=10, seed=0), keep_weight_sums=True)
+        ir = ir_aab(g, AABConfig(s=10, seed=0))
         assert np.isnan(ir.value[g.edge_rows_of_pairs(0, 2)])
         assert len(ir.diagnostics.taus) == 10
         # the clean triangle dominates once the noisy one is down-weighted
@@ -640,7 +643,6 @@ GOLDEN = {
         inconsistencies="4de12aaeca4435cc",
         naive="2d2210982691f8ca",
         ir_per_iteration="1399b1e9b84d8433",
-        weight_sums="fca5cbb74ae29804",
         taus="d73b8afc7e6ad566",
     ),
     # 94 of its 451 edges are unsupported: the median fallback runs
@@ -654,7 +656,6 @@ GOLDEN = {
         inconsistencies="2127f68f98e06cb1",
         naive="5f24080450e23b8e",
         ir_per_iteration="72ac311b17d21f67",
-        weight_sums="1b8b79f51fc8e1a1",
         taus="2b00acf78375d246",
     ),
 }
@@ -664,7 +665,7 @@ GOLDEN = {
 def test_golden_statistics_and_cache(name):
     g, cfg = oracle_case(name)
     naive = naive_aab(g, cfg)
-    ir = ir_aab(g, cfg, keep_weight_sums=True)
+    ir = ir_aab(g, cfg)
     cache = ir.cache
     got = {"rows": int(cache.edge_rows.size)}
     for f in ("edge_rows", "neighbors", "rows_jk", "rows_ki", "multiplicity"):
@@ -672,7 +673,6 @@ def test_golden_statistics_and_cache(name):
     got["inconsistencies"] = digest(cache.inconsistencies, np.float64)
     got["naive"] = digest(naive.value, np.float64)
     got["ir_per_iteration"] = digest(ir.per_iteration, np.float64)
-    got["weight_sums"] = digest(np.array(ir.diagnostics.weight_sums), np.float64)
     got["taus"] = digest(np.array(ir.diagnostics.taus), np.float64)
     assert got == GOLDEN[name]
     for f in fields(cache):

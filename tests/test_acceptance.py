@@ -42,6 +42,7 @@ from aabscreen.verify import (
     reference_mean_inconsistency,
 )
 
+import per_draw_cache
 from conftest import random_rotation, random_units, uniform_base_mean, unit
 from test_evaluation import labels_of, stats_of
 
@@ -231,13 +232,17 @@ def test_criterion_7_invariant_suites():
         np.abs(aab_inconsistency_batch(g3, g2, g1) - base).max()
     ) <= 1e-12
 
-    # IR-AAB weight normalization and rate monotonicity
+    # IR-AAB rounds against the per-draw reference, which normalizes each
+    # edge's weights by their sum, and rate monotonicity
     g, _ = generate_uc(UCParams(n=60, p=0.5, q=0.3, sigma=0.05, seed=7))
-    ir = ir_aab(g, AABConfig(seed=7), keep_weight_sums=True)
-    supported_rows = [k for k, e in enumerate(g.edges()) if e not in ir.unsupported]
-    checks["weights"] = all(
-        float(np.abs(s[supported_rows] - 1.0).max()) <= 1e-12
-        for s in ir.diagnostics.weight_sums
+    cfg = AABConfig(seed=7)
+    ir = ir_aab(g, cfg)
+    want = per_draw_cache.ir_per_iteration(
+        per_draw_cache.build_cache(g, cfg), g.num_edges, cfg.T
+    )
+    kept = ~np.isnan(want)
+    checks["weights"] = np.array_equal(np.isnan(ir.per_iteration), ~kept) and bool(
+        np.all(np.abs(ir.per_iteration[kept] - want[kept]) <= 1e-12 * np.abs(want[kept]))
     )
     taus = ir.diagnostics.taus
     checks["rate"] = all(b > a for a, b in zip(taus, taus[1:]))

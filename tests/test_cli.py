@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -95,6 +96,17 @@ class TestSubcommands:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "out, err", [("nodir/z.json", errno.ENOENT), ("adir", errno.EISDIR)]
+    )
+    def test_write_error_names_the_output(self, tmp_path, monkeypatch, capsys, out, err):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        code = run("verify", "--mode", "z", "--samples", 1000, "--seed", 1, "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: [Errno {err}] {os.strerror(err)}: {out!r}\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir"]
 
     def test_non_finite_direction_is_clean_error(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"

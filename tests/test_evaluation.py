@@ -66,9 +66,9 @@ class TestLabelEdges:
         g, gt = generate_uc(UCParams(n=20, p=0.7, q=0.4, sigma=0.0, seed=2))
         labels = label_edges(g, gt, sigma=0.0)
         assert np.array_equal(labels.edge_array, g.edge_array)
-        assert np.array_equal(labels.generator_corrupted, gt.corrupted_flags)
+        assert np.array_equal(gt.edge_array, g.edge_array)
         # at sigma = 0 the angle rule reproduces the generator flags a.s.
-        assert np.array_equal(labels.corrupted, labels.generator_corrupted)
+        assert np.array_equal(labels.corrupted, gt.corrupted_flags)
 
     def test_subgraph_labels_are_rows_of_full_labels(self):
         g, gt = generate_uc(UCParams(n=20, p=0.7, q=0.4, sigma=0.05, seed=3))
@@ -78,7 +78,6 @@ class TestLabelEdges:
         assert np.array_equal(sub.edge_array, g.edge_array[keep])
         assert np.array_equal(sub.angle, full.angle[keep])
         assert np.array_equal(sub.corrupted, full.corrupted[keep])
-        assert np.array_equal(sub.generator_corrupted, full.generator_corrupted[keep])
 
     def test_edge_outside_ground_truth_is_error(self):
         g, gt = two_vertex_instance(unit([1, 0, 0]), unit([1, 0, 0]))

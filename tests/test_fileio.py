@@ -206,7 +206,6 @@ class TestLabels:
         assert np.array_equal(back.edge_array, g.edge_array)
         assert np.array_equal(back.corrupted, labels.corrupted)
         assert np.array_equal(back.angle, labels.angle)
-        assert back.generator_corrupted is None
 
     def test_duplicate_row(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -81,6 +81,8 @@ def test_library_instance_traced(bench, tmp_path):
     counts = {c["name"] for c in tr.counts}
     assert {"pipeline", "streams.edge_rng", "graph.common_neighbors", "graph.build"} <= spans
     assert {"quality.loc_err.solve_ls_spectral", "quality.loc_err.solve_irls_lud"} <= counts
+    rounds = [c["value"] for c in tr.counts if c["name"] == "aabstats.ir_rounds"]
+    assert rounds == [wl.T]
 
 
 def test_cli_instance(bench, tmp_path):

@@ -429,13 +429,16 @@ class TestAlignment:
         g, gt = generate_uc(UCParams(n=60, p=0.5, q=0.2, sigma=0.05, seed=5))
         return solve_ls_spectral(g).locations, gt.locations
 
-    @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-8, 1e-6, 1.0, 1e6, 1e12])
+    @pytest.mark.parametrize(
+        "scale",
+        [1e-300, 1e-200, 1e-160, 1e-12, 1e-9, 1e-8, 1e-6, 1.0, 1e6, 1e12, 1e160, 1e200, 1e300],
+    )
     def test_any_scale_aligns(self, ls_estimate, scale):
         est, gt = ls_estimate
         scaled = Locations(est.vertices, scale * est.coords)
         assert aligned_errors(scaled, gt) == pytest.approx(aligned_errors(est, gt), rel=1e-9)
 
-    @pytest.mark.parametrize("size", [1e-12, 1.0, 1e12])
+    @pytest.mark.parametrize("size", [1e-300, 1e-12, 1.0, 1e12, 1e300])
     def test_equal_rows_rejected_at_any_size(self, size):
         # the mean of these rows rounds, so the centred rows need not be 0
         est = every_vertex(np.tile(size * np.array([0.1, -0.7, 0.3]), (60, 1)))

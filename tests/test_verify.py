@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from aabscreen import verify
 from aabscreen.sphere import aab_inconsistency_batch
 from aabscreen.verify import (
     aab_as_printed_batch,
@@ -150,3 +151,28 @@ class TestFormulaVsOracle:
             formula_vs_oracle(samples=10, oracle_steps=10_000, seed=0)
         with pytest.raises(ValueError):
             formula_vs_oracle(samples=2000, oracle_steps=100, seed=0)
+
+
+class TestAcrossChunks:
+    """With ``_CHUNK`` at 1000, 3,500 samples run as four chunks of one
+    stream (1000, 1000, 1000, 500).  The values were recorded before the
+    three estimators shared one chunk loop and one triple draw."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(verify, "_CHUNK", 1000)
+
+    def test_mean_over_uniform_triples(self):
+        est = mc_estimate_Z(3500, 4)
+        assert (est.value, est.std_error) == (1.1302156421159337, 0.010205074707149996)
+
+    def test_mean_curve(self):
+        est = mc_estimate_f(1.1, 3500, 4)
+        assert (est.value, est.std_error) == (0.8846787996168968, 0.0053843229743699116)
+
+    def test_formula_vs_oracle(self):
+        cmp_ = formula_vs_oracle(3500, 10_000, 4)
+        assert (cmp_.max_abs_dev_corrected, cmp_.max_abs_dev_as_printed) == (
+            3.451154463637862e-06,
+            0.27564262110130944,
+        )
