@@ -112,7 +112,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _UsageError(Exception):
+    """Flags that do not go together: exit 2 before any work."""
+
+
+def _distinct_outputs(outputs: dict) -> None:
+    """Reject two of ``outputs`` (flag -> path, None for an absent output)
+    that resolve to one file."""
+    seen = {}
+    for flag, path in outputs.items():
+        if path is not None:
+            other = seen.setdefault(os.path.realpath(path), flag)
+            if other != flag:
+                raise _UsageError(f"{other} and {flag} name the same file")
+
+
 def _cmd_generate(args) -> int:
+    _distinct_outputs(
+        {"--out-edges": args.out_edges, "--out-locations": args.out_locations,
+         "--out-labels": args.out_labels}
+    )
     params = UCParams(n=args.n, p=args.p, q=args.q, sigma=args.sigma, seed=args.seed)
     g, gt = generate_uc(params)
     labels = label_edges(g, gt, args.sigma)
@@ -125,6 +144,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_screen(args) -> int:
+    _distinct_outputs({"--out": args.out, "--per-iteration": args.per_iteration})
     g = parse_edge_list(args.edges)
     cfg = AABConfig(s=args.s, T=args.T, seed=args.seed)
     stats = (naive_aab if args.stat == "naive" else ir_aab)(g, cfg)
@@ -142,8 +162,7 @@ def _cmd_filter(args) -> int:
     # fraction is the unused default
     keep = 0.5 if args.keep_fraction is None else args.keep_fraction
     if not 0.0 < keep <= 1.0:
-        print("error: --keep-fraction must be in (0, 1]", file=sys.stderr)
-        return 2
+        raise _UsageError("--keep-fraction must be in (0, 1]")
     policy = ScreeningPolicy(
         keep_fraction=keep,
         threshold=args.threshold,
@@ -184,18 +203,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    usage = None
     if args.estimate is not None and args.ground_truth is None:
-        usage = "--estimate requires --ground-truth"
-    elif args.ground_truth is not None and args.estimate is None:
-        usage = "--ground-truth requires --estimate"
-    elif args.baseline_error is not None and args.estimate is None:
-        usage = "--baseline-error requires --estimate and --ground-truth"
-    elif args.baseline_error is not None and not 0.0 < args.baseline_error < math.inf:
-        usage = "--baseline-error must be finite and > 0"
-    if usage is not None:
-        print(f"error: {usage}", file=sys.stderr)
-        return 2
+        raise _UsageError("--estimate requires --ground-truth")
+    if args.ground_truth is not None and args.estimate is None:
+        raise _UsageError("--ground-truth requires --estimate")
+    if args.baseline_error is not None and args.estimate is None:
+        raise _UsageError("--baseline-error requires --estimate and --ground-truth")
+    if args.baseline_error is not None and not 0.0 < args.baseline_error < math.inf:
+        raise _UsageError("--baseline-error must be finite and > 0")
 
     # read, check and align every input before the first write, so that a
     # bad input leaves nothing in --out-dir
@@ -278,6 +293,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, KeyError, RuntimeError, OSError, MemoryError) as exc:
         # numpy's MemoryError names the allocation; a bare one says nothing
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -2,7 +2,7 @@
 
 All formats are line-oriented ASCII with '#' comment lines; the first line
 is a versioned header.  Floats are written with 17 significant digits so a
-round trip preserves the value to the last bit before renormalization.
+round trip preserves the value to the last bit.
 Every writer goes through ``_write``: a temp file and an atomic rename, so a
 failed run never leaves a partial output behind.
 """
@@ -24,7 +24,7 @@ from .evaluation import EdgeLabels, HistogramCounts, RocCurve
 from .graph import (
     MAX_VERTICES, Locations, ViewGraph, first_fault, match_edge_rows, pair_checks, repeats,
 )
-from .sphere import UNIT_NORM_TOL
+from .sphere import UNIT_NORM_TOL, unit_rows
 
 __all__ = [
     "FileFormatError",
@@ -218,18 +218,16 @@ def parse_edge_list(path: str) -> ViewGraph:
     unparsed = "could not parse vertex ids or direction components"
     c = rd.rows(None, unparsed, i=int, j=int, x=float, y=float, z=float)
     d = np.stack([c["x"], c["y"], c["z"]], axis=1)
-    norms = np.linalg.norm(d, axis=1)
+    _, norms, unit = unit_rows(d)
     c["norm"] = norms.tolist()
     rd.check(
         *zip(pair_checks(rd.n, c["i"], c["j"]), _PAIR_MESSAGES),
         (~np.isfinite(d).all(axis=1), "direction has a non-finite component"),
-        (
-            np.abs(norms - 1.0) > UNIT_NORM_TOL,
-            "direction norm {norm!r} deviates from 1 by more than {tol}",
-        ),
+        (~unit, "direction norm {norm!r} deviates from 1 by more than {tol}"),
         tol=UNIT_NORM_TOL,
     )
-    return ViewGraph.from_arrays(rd.n, c["i"], c["j"], d / norms[:, None])
+    # the graph normalizes the directions, as it does those given in memory
+    return ViewGraph.from_arrays(rd.n, c["i"], c["j"], d)
 
 
 # -- locations ---------------------------------------------------------------

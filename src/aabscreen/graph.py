@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .sphere import UNIT_NORM_TOL
+from .sphere import UNIT_NORM_TOL, unit_rows
 
 __all__ = [
     "MAX_VERTICES", "Locations", "ViewGraph", "edge_tuples", "first_fault", "match_edge_rows",
@@ -22,10 +22,6 @@ __all__ = [
 
 # Most vertices a graph may have: every pair key i * n + j is then exact in int64.
 MAX_VERTICES = 2**31 - 1
-
-# Directions off unit norm by more than this (and at most UNIT_NORM_TOL) are
-# renormalized on construction.
-_RENORM_TOL = 1e-12
 
 # Neighbour-list entries walked per block while building the common-neighbour
 # lists; bounds the transient memory at a few tens of MB.
@@ -62,18 +58,17 @@ def pair_checks(n: int, i, j) -> list[np.ndarray]:
     return [order, ~in_range, repeats(i * n + j, ~order & in_range)]
 
 
-def _first_invalid(n: int, i, j, d, norms, not_vec) -> str | None:
+def _first_invalid(n: int, i, j, d, norms, unit, not_vec) -> str | None:
     """Message for the first offending edge in input order, or None.
 
     An edge is checked for, in this order: self-loop, vertex range, an
     earlier edge on the same pair, a direction that is not a 3-vector (rows
     listed in ``not_vec``), non-finite components, and unit norm (``norms``
-    are the row norms of ``d``).
+    and ``unit`` as ``sphere.unit_rows`` returns them for ``d``).
     """
     bad_vec = np.zeros(i.size, dtype=bool)
     bad_vec[list(not_vec)] = True
     finite = np.isfinite(d).all(axis=1)
-    unit = np.abs(norms - 1.0) <= UNIT_NORM_TOL
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     fault = first_fault([*pair_checks(n, lo, hi), bad_vec, ~finite, ~unit])
     if fault is None:
@@ -121,12 +116,14 @@ def match_edge_rows(have: np.ndarray, want: np.ndarray, missing: str) -> np.ndar
 @dataclass(frozen=True, eq=False)
 class Locations:
     """3D points of a vertex set: row k of the (N, 3) float64 ``coords``
-    belongs to ``vertices[k]``, and ``vertices`` is sorted, unique int64."""
+    belongs to ``vertices[k]``, and ``vertices`` is sorted, unique int64.
+    ``coords`` is kept in C order, as numpy's sums round in memory order."""
 
     vertices: np.ndarray
     coords: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "coords", np.ascontiguousarray(self.coords))
         v = self.vertices
         if v.ndim != 1 or self.coords.shape != (v.size, 3) or (v[1:] <= v[:-1]).any():
             raise ValueError("locations need sorted unique vertices and one 3-vector each")
@@ -145,8 +142,8 @@ class ViewGraph:
         The direction is interpreted in the order given: it points from j
         toward i.  Rejects self-loops, duplicate pairs, out-of-range ids,
         non-finite directions and directions whose norm deviates from 1 by
-        more than ``UNIT_NORM_TOL`` (smaller deviations are renormalized
-        away), naming the first offending edge in input order.
+        more than ``UNIT_NORM_TOL``, naming the first offending edge in
+        input order.  The others are normalized by ``sphere.unit_rows``.
         """
         ids = []
         dirs = []
@@ -181,15 +178,11 @@ class ViewGraph:
         d = np.asarray(d, dtype=np.float64)
         if i.ndim != 1 or j.shape != i.shape or d.shape != (i.size, 3):
             raise ValueError("edge arrays must have shapes (m,), (m,) and (m, 3)")
-        norms = np.linalg.norm(d, axis=1)
-        msg = _first_invalid(n, i, j, d, norms, not_vec)
+        d, norms, unit = unit_rows(d)
+        msg = _first_invalid(n, i, j, d, norms, unit, not_vec)
         if msg is not None:
             raise ValueError(msg)
 
-        off = np.abs(norms - 1.0) > _RENORM_TOL
-        if off.any():
-            d = d.copy()
-            d[off] /= norms[off, None]
         d = d * np.where(i > j, -1.0, 1.0)[:, None]
         lo = np.minimum(i, j)
         hi = np.maximum(i, j)

@@ -23,6 +23,7 @@ __all__ = [
     "DegenerateBaseError",
     "UNIT_NORM_TOL",
     "DEGENERATE_BASE_TOL",
+    "unit_rows",
     "as_unit_vector",
     "great_circle_distance",
     "great_circle_distance_batch",
@@ -37,8 +38,10 @@ __all__ = [
 UnitVector3 = np.ndarray
 Radians = float
 
-# Inputs may deviate from unit norm by at most this much before rejection.
+# Inputs may deviate from unit norm by at most this much before rejection,
+# and by at most _RENORM_TOL before they are renormalized.
 UNIT_NORM_TOL = 1e-6
+_RENORM_TOL = 1e-12
 
 # Base pair (g1, g2) with z = g1.g2 and z^2 > 1 - DEGENERATE_BASE_TOL is
 # degenerate: the arc collapses to a point or covers a full great circle.
@@ -52,8 +55,28 @@ class DegenerateBaseError(ValueError):
     """The base pair is (anti)parallel, so the consistency arc is ill-defined."""
 
 
+def unit_rows(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one normalization of input directions: ``(rows, norms, unit)``
+    for an (m, 3) array ``d``, with its row norms and the mask of rows within
+    ``UNIT_NORM_TOL`` of unit norm.  Such a row is returned as given if it is
+    within 1e-12 of unit norm, else divided by its norm.  The other rows,
+    non-finite and zero ones among them, are left undivided for the caller
+    to reject."""
+    d = np.asarray(d, dtype=np.float64)
+    with np.errstate(over="ignore"):  # a huge row's norm is inf: not unit
+        norms = np.linalg.norm(d, axis=1)
+    off = np.abs(norms - 1.0)
+    unit = off <= UNIT_NORM_TOL
+    fix = unit & (off > _RENORM_TOL)
+    if fix.any():
+        d = d.copy()
+        d[fix] /= norms[fix, None]
+    return d, norms, unit
+
+
 def as_unit_vector(v) -> UnitVector3:
-    """Validate and return ``v`` as a float64 unit vector of shape (3,).
+    """Validate ``v`` as a float64 3-vector and return the one row of
+    ``unit_rows``.
 
     Raises:
         ValueError: if the shape is not (3,) or the norm deviates from 1 by
@@ -62,10 +85,10 @@ def as_unit_vector(v) -> UnitVector3:
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    n = np.linalg.norm(v)
-    if abs(n - 1.0) > UNIT_NORM_TOL:
-        raise ValueError(f"vector norm {n!r} deviates from 1 by more than {UNIT_NORM_TOL}")
-    return v / n
+    rows, norms, unit = unit_rows(v[None])
+    if not unit[0]:
+        raise ValueError(f"vector norm {norms[0]!r} deviates from 1 by more than {UNIT_NORM_TOL}")
+    return rows[0].copy()
 
 
 def great_circle_distance(u: UnitVector3, v: UnitVector3) -> Radians:
@@ -224,11 +247,6 @@ def aab_oracle_batch(G3: np.ndarray, G1: np.ndarray, G2: np.ndarray, steps: int)
     candidate indices are evaluated, with the same grid-point construction
     and distance formula as the full scan: the two endpoints on every row,
     the four neighbours only on rows with an interior critical point.
-
-    Agrees with the scan to rounding, not to the bit, because the scan
-    renormalizes its inputs first.  Measured on four draws of 1000 random
-    rows with steps from 2 to 10001: 306 to 325 minima per draw differ, by
-    at most 2.7e-14; given the renormalized vectors, none differ.
 
     Rows with a degenerate base are the caller's problem, as in
     ``aab_inconsistency_batch``.

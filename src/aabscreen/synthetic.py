@@ -103,10 +103,6 @@ def _draw_edge_set(params: UCParams) -> np.ndarray:
     return np.stack([iu[keep], ju[keep]], axis=1)
 
 
-def _unit_rows(v: np.ndarray) -> np.ndarray:
-    return v / np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])[:, None]
-
-
 def generate_uc(params: UCParams) -> tuple[ViewGraph, GroundTruth]:
     """Generate one UC(n, p, q, sigma) instance, deterministic in the seed.
 
@@ -119,7 +115,8 @@ def generate_uc(params: UCParams) -> tuple[ViewGraph, GroundTruth]:
     t = _draw_locations(params)
     pairs = _draw_edge_set(params)
     i, j = pairs[:, 0], pairs[:, 1]
-    clean = _unit_rows(t[i] - t[j])
+    clean = t[i] - t[j]
+    clean /= np.linalg.norm(clean, axis=1)[:, None]
 
     u = unit_interval(edge_hash(params.seed, TAG_CORRUPTION, i[:, None], j[:, None], np.arange(3)))
     corrupted = u[:, 0] < params.q
@@ -127,7 +124,10 @@ def generate_uc(params: UCParams) -> tuple[ViewGraph, GroundTruth]:
     phi = 2.0 * np.pi * u[:, 2]
     r = np.sqrt(1.0 - z * z)
     sphere = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-    noisy = clean if params.sigma == 0.0 else _unit_rows(clean + params.sigma * sphere)
+    noisy = clean
+    if params.sigma > 0.0:
+        noisy = clean + params.sigma * sphere
+        noisy /= np.linalg.norm(noisy, axis=1)[:, None]
     gamma = np.where(corrupted[:, None], sphere, noisy)
 
     # the pairs are in canonical order already, so the graph keeps their rows

@@ -15,7 +15,7 @@ from scipy.stats import chi2
 from aabscreen import aabstats
 from aabscreen.aabstats import AABConfig, TripleCache, ir_aab, naive_aab
 from aabscreen.graph import ViewGraph
-from aabscreen.sphere import aab_inconsistency_batch, degenerate_base_mask
+from aabscreen.sphere import aab_inconsistency, aab_inconsistency_batch, degenerate_base_mask
 from aabscreen.streams import TAG_TRIPLES, edge_rng
 from aabscreen.synthetic import UCParams, generate_uc
 
@@ -621,6 +621,20 @@ class TestCacheDtype:
         cache = ir_aab(g, AABConfig()).cache
         assert [getattr(cache, f.name).dtype for f in fields(cache)] == self.DTYPES
         assert all(getattr(cache, f.name).size == 0 for f in fields(cache))
+
+
+def test_scalar_inconsistency_equals_cache_row():
+    # the scalar API is one row of the batch form after validation, which
+    # keeps a graph's stored directions as they are
+    g, _ = generate_uc(UCParams(n=40, p=0.5, q=0.3, sigma=0.05, seed=3))
+    cache = ir_aab(g, AABConfig(s=20, seed=3)).cache
+    i, j = g.edge_array[cache.edge_rows].T
+    k = cache.neighbors
+    g1 = g.directions_of_rows(cache.rows_jk, j, k)
+    g2 = g.directions_of_rows(cache.rows_ki, k, i)
+    g3 = g.direction_array[cache.edge_rows]
+    assert cache.inconsistencies.size > 1000
+    assert [aab_inconsistency(*row) for row in zip(g3, g1, g2)] == cache.inconsistencies.tolist()
 
 
 def digest(a, dtype) -> str:

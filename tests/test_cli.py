@@ -10,10 +10,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import aabscreen
+from aabscreen.aabstats import AABConfig, ir_aab
 from aabscreen.cli import main
+from aabscreen.evaluation import location_errors
+from aabscreen.fileio import parse_edge_list, parse_locations, parse_statistics
+from aabscreen.screening import ScreeningPolicy, filter_edges, solvable_component
+from aabscreen.solvers import align_similarity, solve_irls_lud, solve_ls_spectral
+from aabscreen.synthetic import UCParams, generate_uc
 
 
 def run(*args):
@@ -461,28 +468,30 @@ GOLDEN_STAGES = [
 ]
 
 # sha256 prefixes of every output file and of the stages' stdout, recorded
-# before the writers shared one write path (numpy 2.4, x86-64).  As with the
-# statistics goldens, the float digests rest on numpy's transcendental
-# functions and BLAS rounding the same way on another CPU or build.
+# before the writers shared one write path (numpy 2.4, x86-64); the twelve
+# files computed from a read edge list were recorded again once the reader
+# kept unit directions as written.  As with the statistics goldens, the
+# float digests rest on numpy's transcendental functions and BLAS rounding
+# the same way on another CPU or build.
 GOLDEN_OUTPUTS = {
     "edges.txt": "79d5a791f6ccefcf",
-    "eval-full/errors.json": "4bc2d4b25ac6e9fd",
-    "eval-full/hist.csv": "96d5c745f9f4afac",
-    "eval-full/roc.csv": "1e3e5846661b741c",
+    "eval-full/errors.json": "f5a8db155e8f2710",
+    "eval-full/hist.csv": "039a94b2a0486638",
+    "eval-full/roc.csv": "7aa9244f84c9409d",
     "eval-plain/errors.json": "9fb847e5eff829ad",
-    "eval-plain/hist.csv": "97cbf48cf537d679",
-    "eval-plain/roc.csv": "77e8afabb90b41ff",
+    "eval-plain/hist.csv": "5fcb19969f745def",
+    "eval-plain/roc.csv": "1d00503cfaf3a73d",
     "formula.json": "0a4a413e4eb834e9",
-    "ir.csv": "6661262c59c6ee86",
-    "irls.txt": "576831a3a485723f",
+    "ir.csv": "e9437b8fc3737c1c",
+    "irls.txt": "4f82cc58eedf577e",
     "labels.csv": "ec441e2d69d47c6c",
     "lemma.json": "75916f587c682d4e",
     "locations.txt": "e7c1c8931d1c7813",
-    "ls.txt": "80b86880e7bfb625",
-    "naive.csv": "af7bba8bbcdd53d9",
-    "periter.csv": "b9da689d65ac7774",
-    "pruned.txt": "ca5cea6909ecbba8",
-    "thresholded.txt": "a6fa32fddf26a595",
+    "ls.txt": "0753f5bc175a6cb3",
+    "naive.csv": "6150046d0fed674a",
+    "periter.csv": "7d2251aabd0a37ac",
+    "pruned.txt": "a1ff5a84c03c19fe",
+    "thresholded.txt": "ba78606d59c9901b",
     "z.json": "081e8215c8faed3a",
     "stdout": "428fd2b3cf21176e",
 }
@@ -499,6 +508,77 @@ def test_golden_outputs(tmp_path, monkeypatch, capsys):
     }
     got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
     assert got == GOLDEN_OUTPUTS
+
+
+def test_stages_reproduce_the_library(tmp_path, monkeypatch):
+    # the golden instance through the CLI stages, each reading what the last
+    # wrote, and in process from the generated graph: the same bits
+    monkeypatch.chdir(tmp_path)
+    for argv in GOLDEN_STAGES[:2] + GOLDEN_STAGES[3:4] + GOLDEN_STAGES[5:8]:
+        assert run(*argv) == 0, argv
+
+    g, gt = generate_uc(UCParams(n=60, p=0.5, q=0.2, sigma=0.05, seed=5))
+    stats = ir_aab(g, AABConfig(s=50, T=10, seed=5))
+    policy = ScreeningPolicy(keep_fraction=0.5)
+    pruned = solvable_component(filter_edges(g, stats, policy), policy.min_degree)
+
+    edges = parse_edge_list("edges.txt")
+    assert edges.direction_array.tobytes() == g.direction_array.tobytes()
+    written = parse_statistics("ir.csv")
+    assert np.array_equal(written.edge_array, stats.edge_array)
+    assert np.array_equal(written.value, stats.value, equal_nan=True)
+    back = parse_edge_list("pruned.txt")
+    assert back.edge_array.tobytes() == pruned.edge_array.tobytes()
+    assert back.direction_array.tobytes() == pruned.direction_array.tobytes()
+    for path, solve in (("ls.txt", solve_ls_spectral), ("irls.txt", solve_irls_lud)):
+        locs, _ = parse_locations(path)
+        est = solve(pruned).locations
+        assert locs.vertices.tobytes() == est.vertices.tobytes()
+        assert locs.coords.tobytes() == est.coords.tobytes()
+    # the evaluate stage aligned the IRLS estimate
+    _, _, aligned = align_similarity(est, gt.locations)
+    report = json.loads(Path("eval-full/errors.json").read_text())
+    assert (report["mean_error"], report["median_error"]) == location_errors(aligned, gt.locations)
+
+
+class TestOutputsNameOneFile:
+    def test_generate(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = run(
+            "generate", "--n", 20, "--p", 0.5, "--q", 0.2, "--sigma", 0.05, "--seed", 1,
+            "--out-edges", "a.txt", "--out-locations", tmp_path / "a.txt",
+            "--out-labels", "l.csv",
+        )
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: --out-edges and --out-locations name the same file\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_screen(self, generated, tmp_path, capsys):
+        capsys.readouterr()
+        out = tmp_path / "s.csv"
+        code = run(
+            "screen", "--edges", generated["edges"], "--stat", "ir", "--seed", 1,
+            "--out", out, "--per-iteration", tmp_path / "." / "s.csv",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --out and --per-iteration name the same file\n"
+        )
+        assert not out.exists()
+
+    def test_filter_may_write_over_its_input(self, generated, tmp_path):
+        stats = tmp_path / "stats.csv"
+        assert run(
+            "screen", "--edges", generated["edges"], "--stat", "naive", "--seed", 1,
+            "--out", stats,
+        ) == 0
+        before = parse_edge_list(str(generated["edges"])).num_edges
+        assert run(
+            "filter", "--edges", generated["edges"], "--stats", stats,
+            "--out", generated["edges"],
+        ) == 0
+        assert 0 < parse_edge_list(str(generated["edges"])).num_edges < before
 
 
 def run_fresh(code: str, *argv) -> str:

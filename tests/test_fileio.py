@@ -44,7 +44,27 @@ class TestEdgeList:
         back = parse_edge_list(path)
         assert back.n == g.n
         assert back.edges() == g.edges()
-        assert np.abs(back.direction_array - g.direction_array).max() <= 1e-12
+        assert back.direction_array.tobytes() == g.direction_array.tobytes()
+
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(
+        off=st.lists(st.floats(min_value=-9.99e-7, max_value=9.99e-7), min_size=1, max_size=45),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_round_trip_keeps_bits(self, off, seed):
+        # a graph built from directions off unit norm by up to 1e-6 reads
+        # back with the very edge and direction arrays it was written from
+        m = len(off)
+        i, j = (a[:m] for a in np.triu_indices(10, k=1))
+        d = np.random.default_rng(seed).normal(size=(m, 3))
+        d *= ((1.0 + np.array(off)) / np.linalg.norm(d, axis=1))[:, None]
+        g = ViewGraph.from_arrays(10, i, j, d)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "edges.txt")
+            write_edge_list(g, path)
+            back = parse_edge_list(path)
+        assert back.edge_array.tobytes() == g.edge_array.tobytes()
+        assert back.direction_array.tobytes() == g.direction_array.tobytes()
 
     def test_self_loop_line_reports_position(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -446,6 +446,16 @@ class TestAlignment:
         with pytest.raises(ValueError, match="^all source points coincide; similarity fit"):
             align_similarity(est, gt)
 
+    def test_memory_layout_leaves_no_trace(self, rng):
+        # an IRLS estimate comes column-major, one read from a file row-major
+        gt = every_vertex(rng.normal(size=(200, 3)))
+        est = rng.normal(size=(200, 3))
+        by_rows = align_similarity(every_vertex(est), gt)
+        by_columns = align_similarity(every_vertex(np.asfortranarray(est)), gt)
+        assert by_rows[0] == by_columns[0]
+        assert by_rows[1].tobytes() == by_columns[1].tobytes()
+        assert by_rows[2].coords.tobytes() == by_columns[2].coords.tobytes()
+
     def test_reflection_absorbed(self, rng):
         gt = every_vertex(rng.normal(size=(6, 3)))
         est = every_vertex(-gt.coords)
