@@ -279,6 +279,17 @@ class TestOracle:
         scan = [aab_inconsistency_oracle(c, a, b, 1_000_000) for a, b, c in zip(g1, g2, g3)]
         assert aab_oracle_batch(g3, g1, g2, 1_000_000).tolist() == scan
 
+    @pytest.mark.parametrize("steps", [2, 3, 101, 10001])
+    def test_batch_equals_scan_bit_for_bit_on_renormalized_rows(self, rng, steps):
+        # rows passed through the scalar normalization first: both forms
+        # still take the same grid minimum
+        rows = [[as_unit_vector(v) for v in random_units(rng, 3)] for _ in range(50)]
+        g1, g2, g3 = (np.array(col) for col in zip(*rows))
+        keep = ~degenerate_base_mask(g1, g2)
+        g1, g2, g3 = g1[keep], g2[keep], g3[keep]
+        scan = [aab_inconsistency_oracle(c, a, b, steps) for a, b, c in zip(g1, g2, g3)]
+        assert aab_oracle_batch(g3, g1, g2, steps).tolist() == scan
+
 
 def arc_point(g1: np.ndarray, g2: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Point at angle theta from -g1 toward -g2 on their great circle, rows."""
