@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import ViewGraph, edge_tuples
+from .graph import ViewGraph, block_bounds, concat_parts, edge_tuples
 from .sphere import aab_inconsistency_batch, degenerate_base_mask
-from .streams import TAG_TRIPLES, bounded_index, edge_hash
+from .streams import TAG_TRIPLES, bounded_index, edge_hash, require_integers
 
 __all__ = [
     "AABConfig",
@@ -37,8 +37,9 @@ __all__ = [
 # Retries per degenerate sampled triangle before it is dropped from the mean.
 _MAX_RESAMPLE_ROUNDS = 8
 
-# Draws per block of sampling and geometry (at least one edge's s draws):
-# bounds the transient per-draw and per-triangle arrays.
+# Most draws, and most common neighbours tested for degeneracy, in a block
+# of sampling and geometry, beyond those of its first edge: bounds the
+# transient arrays.
 _BLOCK_ROWS = 1 << 16
 
 
@@ -51,6 +52,7 @@ class AABConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, "s", "T", "seed")
         # the cache's int32 multiplicities count up to s draws
         if not 1 <= self.s <= 2**31 - 1:
             raise ValueError("s must be in [1, 2**31 - 1]")
@@ -69,8 +71,8 @@ class TripleCache:
     arrays.  Rows are ordered by edge row, then by k.
 
     ``inconsistencies`` is float64 and the five integer fields are int32,
-    as the graph's row map is (s is at most 2**31 - 1), so a row takes 28
-    bytes.
+    as the side-edge rows of ``ViewGraph.common_neighbor_csr`` are (s is at
+    most 2**31 - 1), so a row takes 28 bytes.
     """
 
     edge_rows: np.ndarray
@@ -131,87 +133,60 @@ def _draw_positions(g: ViewGraph, seed: int, rows, draws) -> np.ndarray:
     Both broadcast; every draw is keyed by (seed, canonical edge, index).
     A position names one (edge, common neighbour) pair.
     """
-    indptr, _ = g.common_neighbor_csr
+    indptr = g.common_neighbor_csr[0]
     ends = g.edge_array[rows]
     h = edge_hash(seed, TAG_TRIPLES, ends[..., 0], ends[..., 1], draws)
     start = indptr[rows]
     return start + bounded_index(h, indptr[rows + 1] - start)
 
 
-def _triangles(g: ViewGraph, pos: np.ndarray):
-    """Edge row, neighbour k, row of {j, k} and row of {k, i} of the
-    triangles at CSR positions ``pos``."""
-    indptr, indices = g.common_neighbor_csr
-    edge_rows = np.searchsorted(indptr, pos, side="right") - 1
-    k = indices[pos]
-    rows_jk = g.edge_rows_of_pairs(g.edge_array[edge_rows, 1], k)
-    rows_ki = g.edge_rows_of_pairs(k, g.edge_array[edge_rows, 0])
-    return edge_rows, k, rows_jk, rows_ki
-
-
-def _degenerate(g: ViewGraph, tri) -> np.ndarray:
-    # the test depends on the squared dot product only, so orientation is moot
-    _, _, rows_jk, rows_ki = tri
-    d = g.direction_array
-    return degenerate_base_mask(d[rows_jk], d[rows_ki])
-
-
 def _sample_block(g: ViewGraph, cfg: AABConfig, rows: np.ndarray):
-    """Distinct retained triangles of the supported edge ``rows`` and the
+    """Edge row, neighbour k, row of {j, k} and row of {k, i} of the
+    distinct retained triangles of the supported edge ``rows``, and the
     number of retained draws of each.
 
     Sample ``slot`` of an edge uses draw index ``slot`` and, in redraw round
-    r, draw index ``s * r + slot``.  Whether a triangle is degenerate
-    depends on (edge, k) alone, so the first draws are tested once per
-    distinct position, and only redrawn draws again.  ``rows`` are
-    increasing and consecutive among the supported edges, so their common
-    neighbours fill one CSR slice; counts and marks span that slice only.
+    r, draw index ``s * r + slot``.  ``rows`` are increasing and consecutive
+    among the supported edges, so their common neighbours fill one CSR
+    slice; whether a triangle is degenerate depends on its position alone,
+    so it is tested once over that slice.
     """
-    indptr, _ = g.common_neighbor_csr
-    lo = indptr[rows[0]]
-    size = indptr[rows[-1] + 1] - lo
+    indptr, indices, rows_jk, rows_ki = g.common_neighbor_csr
+    lo, hi = indptr[rows[0]], indptr[rows[-1] + 1]
+    d = g.direction_array
+    # the test depends on the squared dot product only, so orientation is
+    # moot; np.take gathers whole rows about twice as fast as indexing does
+    bad_at = degenerate_base_mask(
+        np.take(d, rows_jk[lo:hi], axis=0), np.take(d, rows_ki[lo:hi], axis=0)
+    )
     pos = (_draw_positions(g, cfg.seed, rows[:, None], np.arange(cfg.s)) - lo).reshape(-1)
-    counts = np.bincount(pos, minlength=size)
-    seen = np.flatnonzero(counts)
-    tri = _triangles(g, seen + lo)
-    degenerate = _degenerate(g, tri)
-    if not degenerate.any():
-        return tri, counts[seen]
-
-    bad_at = np.zeros(size, dtype=bool)
-    bad_at[seen] = degenerate
     bad = np.flatnonzero(bad_at[pos])
     for rnd in range(1, _MAX_RESAMPLE_ROUNDS + 1):
         if bad.size == 0:
             break
         draws = cfg.s * rnd + bad % cfg.s
         pos[bad] = _draw_positions(g, cfg.seed, rows[bad // cfg.s], draws) - lo
-        bad_at[pos[bad]] = _degenerate(g, _triangles(g, pos[bad] + lo))
         bad = bad[bad_at[pos[bad]]]
     # every draw still on a degenerate triangle is dropped
-    counts = np.bincount(pos, minlength=size)
+    counts = np.bincount(pos, minlength=hi - lo)
     counts[bad_at] = 0
     seen = np.flatnonzero(counts)
-    return _triangles(g, seen + lo), counts[seen]
+    at = seen + lo
+    edge_rows = np.searchsorted(indptr, at, side="right") - 1
+    return (edge_rows, indices[at], rows_jk[at], rows_ki[at]), counts[seen]
 
 
 def _build_cache(g: ViewGraph, cfg: AABConfig) -> TripleCache:
     """Sample triangles, redraw degenerate ones, evaluate each distinct
-    retained triangle once.
-
-    Each field is concatenated from its per-block parts on its own, and
-    those parts are released before the next field is, so the parts and
-    the finished cache overlap by one field only.
-    """
-    indptr, _ = g.common_neighbor_csr
-    supported = np.flatnonzero(np.diff(indptr))
-    per_block = max(1, _BLOCK_ROWS // cfg.s)
+    retained triangle once."""
+    neighbors = np.diff(g.common_neighbor_csr[0])
+    supported = np.flatnonzero(neighbors)
     d = g.direction_array
     # edge_rows, neighbors, rows_jk, rows_ki, inconsistencies, multiplicity
     dtypes = (np.int32,) * 4 + (np.float64, np.int32)
     parts = tuple([] for _ in dtypes)
-    for b in range(0, supported.size, per_block):
-        tri, mult = _sample_block(g, cfg, supported[b : b + per_block])
+    for b0, b1 in block_bounds(np.maximum(neighbors[supported], cfg.s), _BLOCK_ROWS):
+        tri, mult = _sample_block(g, cfg, supported[b0:b1])
         edge_rows, k, rows_jk, rows_ki = tri
         i_arr, j_arr = g.edge_array[edge_rows].T
         inc = aab_inconsistency_batch(
@@ -221,14 +196,7 @@ def _build_cache(g: ViewGraph, cfg: AABConfig) -> TripleCache:
         )
         for field_parts, a, dtype in zip(parts, (*tri, inc, mult), dtypes):
             field_parts.append(a.astype(dtype, copy=False))
-
-    def joined(field_parts, dtype):
-        # the empty array fixes the dtype when no edge is supported
-        whole = np.concatenate([np.zeros(0, dtype), *field_parts])
-        field_parts.clear()
-        return whole
-
-    return TripleCache(*(joined(p, dtype) for p, dtype in zip(parts, dtypes)))
+    return TripleCache(*(concat_parts(p, dtype) for p, dtype in zip(parts, dtypes)))
 
 
 def _segment_mean(cache: TripleCache, num_edges: int) -> np.ndarray:

@@ -16,16 +16,16 @@ import numpy as np
 from .sphere import UNIT_NORM_TOL, unit_rows
 
 __all__ = [
-    "MAX_VERTICES", "Locations", "ViewGraph", "edge_tuples", "first_fault", "match_edge_rows",
-    "pair_checks", "repeats",
+    "MAX_VERTICES", "Locations", "ViewGraph", "block_bounds", "concat_parts", "edge_tuples",
+    "first_fault", "match_edge_rows", "pair_checks", "repeats",
 ]
 
 # Most vertices a graph may have: every pair key i * n + j is then exact in int64.
 MAX_VERTICES = 2**31 - 1
 
 # Neighbour-list entries walked per block while building the common-neighbour
-# lists; bounds the transient memory at a few tens of MB.
-_WEDGE_BLOCK = 1 << 20
+# lists; the block's transient arrays take about 40 bytes an entry, 10 MB.
+_WEDGE_BLOCK = 1 << 18
 
 
 def first_fault(checks) -> tuple[int, int] | None:
@@ -90,6 +90,25 @@ def _first_invalid(n: int, i, j, d, norms, unit, not_vec) -> str | None:
 def edge_tuples(edge_array: np.ndarray) -> list[tuple[int, int]]:
     """Rows of an (m, 2) vertex-pair array as tuples of ints."""
     return list(zip(edge_array[:, 0].tolist(), edge_array[:, 1].tolist()))
+
+
+def block_bounds(sizes: np.ndarray, limit: int) -> list[tuple[int, int]]:
+    """(start, stop) of the nonempty runs of consecutive items, a run
+    starting at each item whose running total of ``sizes`` first reaches a
+    multiple of ``limit``: a run's sizes sum to at most ``limit`` plus its
+    first item's size."""
+    ends = np.cumsum(sizes)
+    total = int(ends[-1]) if ends.size else 0
+    cuts = np.searchsorted(ends, np.arange(limit, total, limit)).tolist()
+    return [(a, b) for a, b in zip([0, *cuts], [*cuts, len(sizes)]) if b > a]
+
+
+def concat_parts(parts: list, dtype) -> np.ndarray:
+    """``parts`` joined as one ``dtype`` array, then emptied: the fields of a
+    blocked result, joined in turn, overlap their parts by one field only."""
+    whole = np.concatenate([np.zeros(0, dtype), *parts])
+    parts.clear()
+    return whole
 
 
 def match_edge_rows(have: np.ndarray, want: np.ndarray, missing: str) -> np.ndarray:
@@ -187,18 +206,22 @@ class ViewGraph:
         lo = np.minimum(i, j)
         hi = np.maximum(i, j)
         order = np.argsort(lo * n + hi)
+        lo, hi = lo[order], hi[order]
 
         self._n = n
-        self._edges = np.stack([lo[order], hi[order]], axis=1)
+        self._edges = np.stack([lo, hi], axis=1)
         self._dirs = d[order]
 
         # adjacency in CSR form: sorted neighbours of v are _nbr[_nbr_ptr[v]:_nbr_ptr[v + 1]]
+        # and their edge rows _nbr_row at the same positions (src[e] is an end of row e % m)
         src = np.concatenate([lo, hi])
         dst = np.concatenate([hi, lo])
-        self._nbr = dst[np.argsort(src * n + dst)]
+        adjacency = np.argsort(src * n + dst)
+        self._nbr = dst[adjacency]
+        self._nbr_row = (adjacency % lo.size).astype(np.int32)
         self._nbr_ptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
 
-        for arr in (self._edges, self._dirs, self._nbr, self._nbr_ptr):
+        for arr in (self._edges, self._dirs, self._nbr, self._nbr_row, self._nbr_ptr):
             arr.setflags(write=False)
 
     # -- basic accessors ---------------------------------------------------
@@ -250,9 +273,12 @@ class ViewGraph:
     # -- triangle machinery --------------------------------------------------
 
     @cached_property
-    def common_neighbor_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices): the sorted common neighbours of edge row r are
-        ``indices[indptr[r]:indptr[r + 1]]``.  Built on first use.
+    def common_neighbor_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, indices, rows_jk, rows_ki): the sorted common neighbours k
+        of edge row r, whose pair is (i, j), are
+        ``indices[indptr[r]:indptr[r + 1]]``; the int32 ``rows_jk`` and
+        ``rows_ki`` at the same positions hold the rows of the triangle's
+        side edges {j, k} and {k, i}.  Built on first use.
 
         Walks the neighbour list of each edge's lower-degree endpoint and
         keeps the vertices adjacent to the other endpoint, so the cost is
@@ -267,32 +293,38 @@ class ViewGraph:
         other_base = np.where(swap, lo, hi) * n
         flat_map = self._row_map.reshape(-1)
         cnt = deg[walk]
-        ends = np.cumsum(cnt)
-        total = int(ends[-1]) if ends.size else 0
-        cuts = np.searchsorted(ends, np.arange(_WEDGE_BLOCK, total, _WEDGE_BLOCK))
-        counts = [np.zeros(0, dtype=np.int64)]
-        found = [np.zeros(0, dtype=np.int64)]
-        for e0, e1 in zip([0, *cuts], [*cuts, self.num_edges]):
-            if e1 <= e0:
-                continue
+        # indptr steps, indices, rows_jk, rows_ki
+        dtypes = (np.int64, np.int64, np.int32, np.int32)
+        parts = tuple([] for _ in dtypes)
+        for e0, e1 in block_bounds(cnt, _WEDGE_BLOCK):
             c = cnt[e0:e1]
             stop = np.cumsum(c)
             start = stop - c
-            k = self._nbr[np.arange(stop[-1]) + np.repeat(ptr[walk[e0:e1]] - start, c)]
-            hit = flat_map[np.repeat(other_base[e0:e1], c) + k] >= 0
-            running = np.concatenate([[0], np.cumsum(hit)])
-            counts.append(running[stop] - running[start])
-            found.append(k[hit])
-        indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-        indices = np.concatenate(found)
-        indptr.setflags(write=False)
-        indices.setflags(write=False)
-        return indptr, indices
+            at = np.arange(stop[-1]) + np.repeat(ptr[walk[e0:e1]] - start, c)
+            k = self._nbr[at]
+            other_rows = flat_map[np.repeat(other_base[e0:e1], c) + k]
+            hit = np.flatnonzero(other_rows >= 0)
+            counts = np.diff(np.searchsorted(hit, stop), prepend=0)
+            # the walked side edge's row sits next to k, the other's is the
+            # row-map value the adjacency test read; walking from i, the
+            # walked one is {k, i}, from j it is {j, k}
+            walk_rows = self._nbr_row[at[hit]]
+            other_rows = other_rows[hit]
+            from_j = np.repeat(swap[e0:e1], counts)
+            rows_jk = np.where(from_j, walk_rows, other_rows)
+            rows_ki = np.where(from_j, other_rows, walk_rows)
+            for field_parts, a in zip(parts, (counts, k[hit], rows_jk, rows_ki)):
+                field_parts.append(a)
+        counts, indices, rows_jk, rows_ki = (concat_parts(*pd) for pd in zip(parts, dtypes))
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        for arr in (indptr, indices, rows_jk, rows_ki):
+            arr.setflags(write=False)
+        return indptr, indices, rows_jk, rows_ki
 
     def common_neighbors(self, i: int, j: int) -> np.ndarray:
         """Sorted vertices adjacent to both i and j (never includes i or j)."""
         row = self.edge_rows_of_pairs(i, j)
-        indptr, indices = self.common_neighbor_csr
+        indptr, indices, _, _ = self.common_neighbor_csr
         return indices[indptr[row] : indptr[row + 1]]
 
     def edge_rows_of_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

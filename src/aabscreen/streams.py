@@ -16,6 +16,8 @@ depend only on the seed, the edge and the draw index.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _SEED_MASK = (1 << 64) - 1
@@ -32,6 +34,17 @@ TAG_MONTE_CARLO = 5
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def require_integers(config, *names: str) -> None:
+    """Raise ``ValueError`` naming the first of the fields ``names`` of
+    ``config`` that is not an integer (numpy integers are), e.g. s = 2.5."""
+    for name in names:
+        value = getattr(config, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:

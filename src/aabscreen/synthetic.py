@@ -26,6 +26,7 @@ from .streams import (
     TAG_LOCATIONS,
     derive_rng,
     edge_hash,
+    require_integers,
     unit_interval,
 )
 
@@ -45,6 +46,7 @@ class UCParams:
     seed: int
 
     def __post_init__(self):
+        require_integers(self, "n", "seed")
         if self.n < 2:
             raise ValueError("n must be >= 2")
         if not 0.0 <= self.p <= 1.0:

@@ -27,7 +27,7 @@ MAX_RESAMPLE_ROUNDS = 8
 
 def pick_neighbors(g: ViewGraph, seed: int, rows, draws) -> np.ndarray:
     """Common neighbour of edge ``rows`` chosen by draw index ``draws``."""
-    indptr, indices = g.common_neighbor_csr
+    indptr, indices, _, _ = g.common_neighbor_csr
     ends = g.edge_array[rows]
     h = edge_hash(seed, TAG_TRIPLES, ends[..., 0], ends[..., 1], draws)
     start = indptr[rows]
@@ -41,7 +41,7 @@ def degenerate(g: ViewGraph, rows_jk: np.ndarray, rows_ki: np.ndarray) -> np.nda
 
 def build_cache(g: ViewGraph, cfg: AABConfig) -> TripleCache:
     """Every retained draw as its own row, multiplicity 1, in draw order."""
-    indptr, _ = g.common_neighbor_csr
+    indptr = g.common_neighbor_csr[0]
     supported = np.flatnonzero(np.diff(indptr))
     edge_rows = np.repeat(supported, cfg.s)
     neighbors = pick_neighbors(g, cfg.seed, supported[:, None], np.arange(cfg.s)).reshape(-1)
@@ -67,7 +67,7 @@ def build_cache(g: ViewGraph, cfg: AABConfig) -> TripleCache:
 def all_neighbor_cache(g: ViewGraph) -> TripleCache:
     """Every triangle through every common neighbour, degenerate ones left
     out, in CSR order with multiplicity 1."""
-    indptr, neighbors = g.common_neighbor_csr
+    indptr, neighbors, _, _ = g.common_neighbor_csr
     edge_rows = np.repeat(np.arange(g.num_edges), np.diff(indptr))
     rows_jk = g.edge_rows_of_pairs(g.edge_array[edge_rows, 1], neighbors)
     rows_ki = g.edge_rows_of_pairs(neighbors, g.edge_array[edge_rows, 0])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from aabscreen import graph as graph_module
-from aabscreen.graph import Locations, ViewGraph, match_edge_rows
+from aabscreen.graph import Locations, ViewGraph, block_bounds, match_edge_rows
 
 from conftest import unit
 
@@ -165,27 +165,37 @@ class TestCommonNeighbors:
 
 class TestCommonNeighborCsr:
     def test_matches_intersection(self, rng, monkeypatch):
-        # blocks of 64 neighbour-list entries exercise the block boundaries
+        # blocks of 64 neighbour-list entries exercise the block boundaries;
+        # vertices 0-3 join every vertex, so the walk starts at j on each
+        # edge {i, j} with i < 4 <= j, and at i on the edges among them
         t = rng.normal(size=(40, 3))
         edges = [
             (i, j, (t[i] - t[j]) / np.linalg.norm(t[i] - t[j]))
             for i in range(40)
             for j in range(i + 1, 40)
-            if rng.random() < 0.3
+            if i < 4 or rng.random() < 0.3
         ]
-        for block in (1 << 20, 64):
+        for block in (graph_module._WEDGE_BLOCK, 64):
             monkeypatch.setattr(graph_module, "_WEDGE_BLOCK", block)
             g = ViewGraph(40, edges)
-            indptr, indices = g.common_neighbor_csr
+            indptr, indices, rows_jk, rows_ki = g.common_neighbor_csr
             assert indptr.size == g.num_edges + 1
+            assert rows_jk.dtype == rows_ki.dtype == np.int32
+            walked_from_j = 0
             for row, (i, j) in enumerate(g.edges()):
                 expected = np.intersect1d(g.neighbors(i), g.neighbors(j))
-                assert np.array_equal(indices[indptr[row] : indptr[row + 1]], expected)
+                entries = slice(indptr[row], indptr[row + 1])
+                assert np.array_equal(indices[entries], expected)
+                assert np.array_equal(rows_jk[entries], g.edge_rows_of_pairs(j, expected))
+                assert np.array_equal(rows_ki[entries], g.edge_rows_of_pairs(expected, i))
+                walked_from_j += g.neighbors(i).size > g.neighbors(j).size and expected.size > 0
+            assert 0 < walked_from_j < g.num_edges
 
     def test_edgeless_graph(self):
         g = ViewGraph(3, [])
-        indptr, indices = g.common_neighbor_csr
-        assert list(indptr) == [0] and indices.size == 0
+        indptr, indices, rows_jk, rows_ki = g.common_neighbor_csr
+        assert list(indptr) == [0]
+        assert indices.size == rows_jk.size == rows_ki.size == 0
 
 
 class TestSubgraph:
@@ -208,6 +218,21 @@ class TestSubgraph:
     def test_rejects_misshapen_mask(self):
         with pytest.raises(ValueError, match="row mask"):
             triangle().subgraph(np.ones(2, dtype=bool))
+
+
+class TestBlockBounds:
+    def test_runs_cover_the_items_within_the_limit(self, rng):
+        for limit in (1, 7, 50):
+            sizes = rng.integers(1, 20, size=200)
+            runs = block_bounds(sizes, limit)
+            assert [a for a, _ in runs] == [0] + [b for _, b in runs[:-1]]
+            assert runs[-1][1] == sizes.size
+            assert all(sizes[a:b].sum() <= limit + sizes[a] for a, b in runs)
+        # at limit 1 every item has its own run
+        assert len(block_bounds(sizes, 1)) == sizes.size
+
+    def test_no_items_no_runs(self):
+        assert block_bounds(np.zeros(0, dtype=np.int64), 8) == []
 
 
 class TestMatchEdgeRows:
