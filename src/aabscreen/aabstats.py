@@ -52,7 +52,7 @@ class AABConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_integers(self, "s", "T", "seed")
+        require_integers(s=self.s, T=self.T, seed=self.seed)
         # the cache's int32 multiplicities count up to s draws
         if not 1 <= self.s <= 2**31 - 1:
             raise ValueError("s must be in [1, 2**31 - 1]")
@@ -190,7 +190,7 @@ def _build_cache(g: ViewGraph, cfg: AABConfig) -> TripleCache:
         edge_rows, k, rows_jk, rows_ki = tri
         i_arr, j_arr = g.edge_array[edge_rows].T
         inc = aab_inconsistency_batch(
-            d[edge_rows],
+            np.take(d, edge_rows, axis=0),
             g.directions_of_rows(rows_jk, j_arr, k),
             g.directions_of_rows(rows_ki, k, i_arr),
         )
@@ -254,17 +254,17 @@ def ir_aab(g: ViewGraph, cfg: AABConfig) -> EdgeStatistics:
     per_iter = np.empty((cfg.T + 1, m_edges))
     per_iter[0] = vals
     rows = cache.edge_rows
-    # cache rows come grouped by edge: group starts and their edges, for
-    # the per-edge minimum
+    # cache rows come grouped by edge: group starts, their edges and sizes,
+    # so a per-edge value reaches its rows by np.repeat, not a gather
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
     supported_rows = rows[starts]
-    # each round runs in two row buffers and one edge buffer; the gathers
-    # use mode="clip" (every index is in range) so that they write to
-    # ``out`` directly instead of through a temporary, and the integer
-    # multiplicities are cast in the ufunc's chunks, not copied whole
+    counts = np.diff(starts, append=rows.size)
+    # each round runs in two row buffers; the gathers use mode="clip"
+    # (every index is in range) so that they write to ``out`` directly
+    # instead of through a temporary, and the integer multiplicities are
+    # cast in the ufunc's chunks, not copied whole
     w = np.empty(rows.size)
     per_row = np.empty(rows.size)
-    edge_min = np.empty(m_edges)
 
     current = big
     for t in range(1, cfg.T + 1):
@@ -282,14 +282,13 @@ def ir_aab(g: ViewGraph, cfg: AABConfig) -> EdgeStatistics:
         np.take(lookup, cache.rows_jk, out=per_row, mode="clip")
         np.maximum(w, per_row, out=w)
         w *= tau
-        edge_min[supported_rows] = np.minimum.reduceat(w, starts)
-        w -= np.take(edge_min, rows, out=per_row, mode="clip")
+        w -= np.repeat(np.minimum.reduceat(w, starts), counts)
         # w = mult * exp(-z), then normalized per edge
         np.negative(w, out=w)
         np.exp(w, out=w)
         w *= cache.multiplicity
         sums = np.bincount(rows, weights=w, minlength=m_edges)
-        w /= np.take(sums, rows, out=per_row, mode="clip")
+        w /= np.repeat(sums[supported_rows], counts)
         w *= cache.inconsistencies
         new_vals = np.bincount(rows, weights=w, minlength=m_edges)
         vals = np.where(supported_mask, new_vals, np.nan)

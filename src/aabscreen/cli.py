@@ -85,8 +85,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="recover locations from pairwise directions")
     p.add_argument("--edges", required=True)
-    p.add_argument("--solver", choices=["ls", "irls"], required=True)
-    p.add_argument("--max-iters", type=int, default=100)
+    p.add_argument(
+        "--solver",
+        choices=["ls", "irls"],
+        required=True,
+        help="ls: spectral least squares; irls: least unsquared deviations (LUD) by ADMM",
+    )
+    p.add_argument("--max-iters", type=int, default=5000, help="ADMM iteration cap of irls")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_solve)
 
@@ -187,6 +192,8 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.max_iters < 1:
+        raise _UsageError("--max-iters must be >= 1")
     g = parse_edge_list(args.edges)
     if args.solver == "ls":
         est = solve_ls_spectral(g)

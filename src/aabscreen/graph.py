@@ -346,7 +346,7 @@ class ViewGraph:
 
     def directions_of_rows(self, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Directions of edge ``rows``, row k pointing from b[k] toward a[k]."""
-        return self._dirs[rows] * np.where(a < b, 1.0, -1.0)[:, None]
+        return np.take(self._dirs, rows, axis=0) * np.where(a < b, 1.0, -1.0)[:, None]
 
     def directions_of_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Directions of edges {a[k], b[k]}, row k pointing from b[k] toward a[k]."""

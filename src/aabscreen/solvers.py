@@ -4,14 +4,13 @@ The least-squares solver minimizes projection residuals ||P(t_i - t_j)||^2
 with P = I - gamma gamma^T, the component of the displacement orthogonal to
 the measured direction, as a single constrained eigenvector problem.
 
-The robust solver approximately minimizes the sum of unsquared deviations
+The robust solver minimizes the sum of unsquared deviations
 ||(t_i - t_j) - l_e gamma_e|| over locations and per-edge displacement
-lengths l_e >= 1, by alternating exact length updates with inverse-residual
-weighted Laplacian solves (initialized from the spectral solution).  The
-length floor is essential: under a norm gauge alone, the unsquared objective
-is globally minimized by near-collapsed configurations once a sizable
-fraction of directions is corrupted, and plain reweighting of the spectral
-problem descends straight into them.
+lengths l_e >= 1, least unsquared deviations (LUD, Ozyesil and Singer,
+CVPR 2015), by ADMM from the spectral solution.  The length floor is
+essential: under a norm gauge alone, the unsquared objective is globally
+minimized by near-collapsed configurations once a sizable fraction of
+directions is corrupted.
 
 The spectral solve never forms a matrix.  It finds the two smallest
 eigenpairs of the 3N x 3N form A by block Krylov iteration on c I - A,
@@ -19,13 +18,11 @@ where c is the Gershgorin bound on A's spectrum; rigid translations, A's
 null space, are projected out of every block.  Its products with A are a
 gather and one segment sum over the edges, so its memory is O(m + N k) for
 k Krylov vectors (110 to 150 at N = 1000, allocated 32 at a time) instead
-of the 72 MB of the dense form at N = 1000, and it loads no scipy.  Each
-IRLS round refills one N x N array with its Laplacian and solves it with
-one Cholesky factorization in that array (scipy's, imported on first use);
-non-finite weights or a factorization that fails raise
-DegenerateInstanceError.  At the densities screening leaves (tens of edges
-per vertex) a sparse LU of the Laplacian fills most of the dense one, and
-preconditioned CG needs hundreds of iterations per solve.
+of the 72 MB of the dense form at N = 1000.  Every ADMM iteration solves
+the same unweighted graph Laplacian for any penalty, so the robust solver
+inverts it once, an N x N array (8 MB at N = 1000), and each iteration
+multiplies by the inverse; a non-finite start or a singular Laplacian
+raises DegenerateInstanceError.  Only numpy is used.
 
 Locations are recoverable only up to translation and scale (and a global
 reflection, since the residuals are even in t).  Estimates are gauge-fixed
@@ -37,11 +34,11 @@ alignment, whose scale is sign-free and absorbs the reflection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .graph import Locations, ViewGraph
+from .streams import require_integers
 
 __all__ = [
     "DegenerateInstanceError",
@@ -55,10 +52,22 @@ __all__ = [
 # instance does not pin down a unique location shape.
 _GAP_TOL = 1e-10
 
-_CONVERGENCE_TOL = 1e-10
-
-# IRLS's inlier floor delta: an edge whose residual is below it weighs 1 / delta.
-_DELTA = 1e-8
+# LUD by ADMM (Boyd et al. 2011): the over-relaxation (section 3.4.3), the
+# absolute and relative stopping tolerances (section 3.3.1), the iterations
+# between stop tests, and the residual balancing ratio and factor
+# (section 3.4.1).
+_ALPHA = 1.8
+_EPS_ABS = 1e-4
+_EPS_REL = 1e-3
+_CHECK_EVERY = 10
+_BALANCE_MU = 10.0
+_BALANCE_TAU = 2.0
+# The start's scale search: log 1e12, how far its bracket reaches below
+# the scales that leave every length floor active and the largest scale it
+# considers; and its golden-section steps, which shrink that bracket, at
+# most 2 log 1e12 + log 2 wide, below 1e-12.
+_SCALE_RANGE = np.log(1e12)
+_SCALE_STEPS = 72
 
 # Krylov eigensolver: start vectors, steps between convergence checks,
 # residual tolerance relative to the largest Ritz value, error bound of the
@@ -85,8 +94,8 @@ class LocationEstimate:
 
     ``residuals`` holds the projection residual of the final iterate for
     each row of the solved graph's ``edge_array``.  ``objective_trace``
-    (robust solver only) records the smoothed unsquared objective after
-    every iteration.
+    (robust solver only) records the LUD objective of the iterate at every
+    stop test, before gauge fixing.
     """
 
     locations: Locations
@@ -104,24 +113,6 @@ def _solver_vertices(g: ViewGraph) -> tuple[np.ndarray, np.ndarray]:
     if not g.is_connected_over_active():
         raise ValueError("measurement graph is not connected")
     return verts, np.searchsorted(verts, g.edge_array.T)
-
-
-def _cholesky(a: np.ndarray, what: str):
-    """Cholesky-factor the symmetric, finite ``a`` in its own storage;
-    returns the function b -> a^-1 b.
-
-    The one use of scipy: it is imported here, on the first factorization,
-    so that callers which never run IRLS never pay its import.
-    """
-    import scipy.linalg
-
-    try:
-        # a.T is the Fortran-ordered view of the same symmetric matrix, so
-        # LAPACK factors it in place instead of copying it first
-        factor = scipy.linalg.cho_factor(a.T, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateInstanceError(f"{what} is not positive definite: {exc}") from None
-    return partial(scipy.linalg.cho_solve, factor, check_finite=False)
 
 
 def _form(g: ViewGraph, ends: np.ndarray, n: int):
@@ -295,102 +286,176 @@ def solve_ls_spectral(g: ViewGraph) -> LocationEstimate:
     return LocationEstimate(Locations(verts, t), res, converged=True, iterations=1)
 
 
-def solve_irls_lud(g: ViewGraph, max_iters: int = 100) -> LocationEstimate:
-    """Robust locations by iteratively reweighted least squares.
+def solve_irls_lud(g: ViewGraph, max_iters: int = 5000) -> LocationEstimate:
+    """Robust locations: least unsquared deviations (LUD) solved by ADMM.
 
-    Approximately minimizes the sum over edges of the distance from
-    t_i - t_j to the ray {l * gamma : l >= 1}.  Starting from the spectral
-    solution (sign- and scale-adjusted so the length floor starts inactive
-    on typical edges), each round sets l_e = max(1, <t_i - t_j, gamma_e>),
-    computes residuals r_e = ||(t_i - t_j) - l_e gamma_e|| and weights
-    1 / max(r_e, delta), and solves the weighted normal equations, a graph
-    Laplacian system.  The floor l >= 1 prevents the near-collapsed
-    configurations that otherwise minimize the unsquared objective under
-    heavy corruption; delta = 1e-8 is the residual scale below which an edge
-    is treated as an inlier.
+    Minimizes the sum over edges of the distance from t_i - t_j to the ray
+    {l * gamma_e : l >= 1}, subject to zero centroid, by scaled ADMM on
+    y_e = t_i - t_j with over-relaxation (Boyd et al., Found. Trends Mach.
+    Learn. 2011).  It starts from the spectral solution, signed toward
+    positive displacements and scaled to the least objective along it.
+    Each iteration solves the unweighted graph Laplacian, inverted once,
+    for t, then moves each edge's y to the closed-form prox of its distance
+    to the ray.  Every ``_CHECK_EVERY`` iterations and after the last, the
+    primal and dual residuals are tested against Boyd's stopping
+    tolerances, the penalty rho is rebalanced and the objective recorded;
+    ``converged`` is True exactly when the tolerances were met.  The floor
+    l >= 1 prevents the near-collapsed configurations that otherwise
+    minimize the unsquared objective under heavy corruption.
 
-    Iterates are compared after gauge fixing and similarity alignment;
-    convergence at change <= 1e-10 or after ``max_iters`` total iterations
-    (the initialization counts as the first).
+    Raises ValueError unless ``max_iters`` is an integer >= 1.
     """
+    require_integers(max_iters=max_iters)
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
 
     verts, ends, t, _ = _solve_spectral(g)
     n = verts.size
     ia, ja = ends
-    gam = g.direction_array
-    # the rows of the right-hand side at each edge's two ends, in the order
-    # the bincounts below sum them
-    rhs_index = (3 * ends.reshape(-1, 1) + np.arange(3)).ravel()
-    # the Laplacian, rebuilt and factored in this one array every round
-    lap = np.empty((n, n))
 
-    # Resolve the spectral sign ambiguity toward positive displacements and
-    # rescale so the length floor starts inactive: consistent data then has
-    # every l_e = <diff, gamma> >= 1 and the exact shape is a fixed point.
-    # The cap keeps near-zero dots of corrupted edges from blowing the scale.
-    dots = np.einsum("ij,ij->i", t[ia] - t[ja], gam)
-    if dots.sum() < 0.0:
-        t = -t
-        dots = -dots
-    positive = dots[dots > 0.0]
-    med = float(np.median(positive)) if positive.size else 1.0
-    low = float(positive.min()) if positive.size else 1.0
-    t = t * min(1.0 / max(low, 1e-12), 10.0 / max(med, 1e-12))
+    # the iteration keeps components leading, (3, N) and (3, m), so every
+    # step runs over contiguous arrays and the product with the inverse is
+    # one (3, N) x (N, N) matrix product
+    gam = np.ascontiguousarray(g.direction_array.T)
+    t = np.ascontiguousarray(t.T)
 
-    def smoothed_objective(r):
-        # Huber-style descent function matched to the 1/max(r, delta) weights
-        small = r < _DELTA
-        return float(np.where(small, (r * r + _DELTA * _DELTA) / (2.0 * _DELTA), r).sum())
+    def incidence(tt):
+        """B t: t_i - t_j for every edge."""
+        return np.take(tt, ia, axis=1) - np.take(tt, ja, axis=1)
 
-    def floored_residuals(tt):
-        # lengths l_e = max(1, <t_i - t_j, gamma_e>) and residuals r_e
-        diffs = tt[ia] - tt[ja]
-        ell = np.maximum(1.0, np.einsum("ij,ij->i", diffs, gam))
-        return ell, np.linalg.norm(diffs - ell[:, None] * gam, axis=1)
+    # Resolve the spectral sign ambiguity toward positive displacements,
+    # then take the scale of the spectral shape with the least objective:
+    # consistent data then starts at an optimum, a fixed point.
+    y = incidence(t)
+    if np.einsum("ij,ij->", y, gam) < 0.0:
+        y = -y
+    y *= _best_scale(y, gam)
+    if not np.isfinite(y).all():
+        raise DegenerateInstanceError("LUD start is not finite")
 
+    def adjoint(w):
+        """B^T w: each edge adds its w at its first end and subtracts it at
+        its second."""
+        return np.stack(
+            [np.bincount(ia, weights=c, minlength=n) - np.bincount(ja, weights=c, minlength=n) for c in w]
+        )
+
+    # L + 11^T / N is definite on a connected graph, and its inverse maps
+    # vectors summing to zero to locations summing to zero
+    inverse = np.full((n, n), 1.0 / n)
+    inverse[ia, ja] = inverse[ja, ia] = 1.0 / n - 1.0
+    inverse.flat[:: n + 1] += np.bincount(ends.ravel(), minlength=n)
+    try:
+        _invert_in_place(inverse)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateInstanceError(f"graph Laplacian is singular: {exc}") from None
+
+    eps_pri = np.sqrt(3 * g.num_edges) * _EPS_ABS
+    eps_dual = np.sqrt(3 * n) * _EPS_ABS
+    u = np.zeros_like(y)
+    rho = 1.0
     trace = []
     converged = False
-    iterations = 1
-    ell, r = floored_residuals(t)
-    for _ in range(max_iters - 1):
-        w = 1.0 / np.maximum(r, _DELTA)
+    for iterations in range(1, max_iters + 1):
+        t = adjoint(y - u) @ inverse
+        t -= t.mean(axis=1, keepdims=True)
+        bt = incidence(t)
+        v = _ALPHA * bt + (1.0 - _ALPHA) * y + u
+        y_prev = y
+        # prox of dist(., ray) / rho: move v toward its projection p onto
+        # the ray by at most 1 / rho; u keeps what is left, v - y
+        u = v - np.maximum(1.0, np.einsum("ij,ij->j", v, gam)) * gam
+        u /= np.maximum(1.0, rho * np.sqrt(np.einsum("ij,ij->j", u, u)))
+        y = v - u
+        if iterations % _CHECK_EVERY and iterations < max_iters:
+            continue
 
-        # the graph has one edge per pair, so each off-diagonal entry is
-        # one -w; the diagonal sums each vertex's weights
-        lap.fill(0.0)
-        lap[ia, ja] = lap[ja, ia] = -w
-        lap.flat[:: n + 1] = np.bincount(ends.ravel(), weights=np.concatenate([w, w]), minlength=n)
-        contrib = (w * ell)[:, None] * gam
-        rhs = np.bincount(rhs_index, weights=np.concatenate([contrib, -contrib]).ravel(), minlength=3 * n)
-        mu = float(np.trace(lap)) / n + 1.0
-        lap += mu / n
-        # weights are at most 1 / delta, so finite weights bound every entry
-        # and the factorization need not scan all n^2 of them
-        if not (np.isfinite(w).all() and np.isfinite(rhs).all()):
-            raise DegenerateInstanceError(
-                f"IRLS iteration {iterations + 1}: weighted Laplacian or right-hand side is not finite"
-            )
-        t_new = _cholesky(lap, "weighted Laplacian")(rhs.reshape(n, 3))
-        t_new = t_new - t_new.mean(axis=0)
-
-        iterations += 1
-        ell, r = floored_residuals(t_new)
-        trace.append(smoothed_objective(r))
-
-        a = _gauge_fixed(t_new)
-        b = _gauge_fixed(t)
-        s, shift = _fit_similarity(a, b)
-        change = float(np.linalg.norm(s * a + shift - b))
-        t = t_new
-        if change <= _CONVERGENCE_TOL:
+        trace.append(_lud_objective(bt, gam))
+        r = float(np.linalg.norm(bt - y))
+        s = rho * float(np.linalg.norm(adjoint(y - y_prev)))
+        scale = max(float(np.linalg.norm(bt)), float(np.linalg.norm(y)))
+        dual_scale = rho * float(np.linalg.norm(adjoint(u)))
+        if r <= eps_pri + _EPS_REL * scale and s <= eps_dual + _EPS_REL * dual_scale:
             converged = True
             break
+        # residual balancing; the scaled dual u = lambda / rho follows rho
+        if r > _BALANCE_MU * s:
+            rho *= _BALANCE_TAU
+            u /= _BALANCE_TAU
+        elif s > _BALANCE_MU * r:
+            rho /= _BALANCE_TAU
+            u *= _BALANCE_TAU
 
-    t = _gauge_fixed(t)
+    t = _gauge_fixed(t.T)
     res = _edge_residuals(g, ends, t)
     return LocationEstimate(Locations(verts, t), res, converged, iterations, trace)
+
+
+def _best_scale(diffs: np.ndarray, gam: np.ndarray) -> float:
+    """The scale c > 0 with the least ``_lud_objective`` of c ``diffs``.
+
+    The objective is convex in c (each term is the distance from c d_e to
+    a convex set), hence unimodal in log c, and golden-section search on
+    log c finds its minimum.  Past the scale at which the shortest positive
+    component along gamma_e reaches the floor l = 1, no floor is active and
+    the objective only grows, so the search ends there.  Below the scale at
+    which the longest one does, every floor is active, but the minimum can
+    still lie there when most displacements are far off their directions,
+    so the search starts 1e12 times lower.  Ties keep the lower part: on
+    consistent data, whose objective is 0 from the upper end on, the search
+    ends at that end.  Without a positive component the scale is 1.
+    """
+    along = np.einsum("ij,ij->j", diffs, gam)
+    positive = along[along > 0.0]
+    if not positive.size:
+        return 1.0
+    # the locations have unit norm, so no component exceeds 2, and the floor
+    # on the shortest keeps the scale finite
+    lo = -np.log(positive.max()) - _SCALE_RANGE
+    hi = -np.log(max(positive.min(), np.exp(-_SCALE_RANGE)))
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    fa, fb = (_lud_objective(np.exp(x) * diffs, gam) for x in (a, b))
+    for _ in range(_SCALE_STEPS):
+        if fa <= fb:
+            hi, b, fb = b, a, fa
+            a = hi - ratio * (hi - lo)
+            fa = _lud_objective(np.exp(a) * diffs, gam)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + ratio * (hi - lo)
+            fb = _lud_objective(np.exp(b) * diffs, gam)
+    return float(np.exp(hi))
+
+
+def _invert_in_place(a: np.ndarray) -> None:
+    """Overwrite the symmetric positive definite ``a`` with its inverse.
+
+    Through the blocks [[p, q], [q^T, r]] of ``a`` and the Schur complement
+    s = r - q^T p^-1 q, with x = p^-1 q and y = x s^-1:
+    a^-1 = [[p^-1 + y x^T, -y], [-y^T, s^-1]].  ``np.linalg.inv`` of all
+    of ``a`` would hold two N x N work arrays and its result beside ``a``;
+    this holds at most about 1.25 N^2 floats beside it.
+    """
+    h = a.shape[0] // 2
+    p, q, r = a[:h, :h], a[:h, h:], a[h:, h:]
+    p_inv = np.linalg.inv(p)
+    x = p_inv @ q
+    r -= q.T @ x
+    s_inv = np.linalg.inv(r)
+    y = x @ s_inv
+    np.matmul(y, x.T, out=p)
+    p += p_inv
+    q[...] = -y
+    a[h:, :h] = -y.T
+    r[...] = s_inv
+
+
+def _lud_objective(diffs: np.ndarray, gam: np.ndarray) -> float:
+    """Sum over the columns of (3, m) ``diffs`` of the distance to the ray
+    {l gamma : l >= 1} of the matching column of ``gam``."""
+    off = diffs - np.maximum(1.0, np.einsum("ij,ij->j", diffs, gam)) * gam
+    return float(np.sqrt(np.einsum("ij,ij->j", off, off)).sum())
 
 
 def _fit_similarity(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:

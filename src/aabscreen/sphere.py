@@ -177,7 +177,7 @@ def aab_inconsistency_batch(G3: np.ndarray, G1: np.ndarray, G2: np.ndarray) -> n
     out = np.empty(x.shape)
 
     rows = np.flatnonzero(inside)
-    g1, g2, g3 = G1[rows], G2[rows], G3[rows]
+    g1, g2, g3 = (np.take(a, rows, axis=0) for a in (G1, G2, G3))
     xi, yi, zi = x[rows], y[rows], z[rows]
     with np.errstate(divide="ignore", invalid="ignore"):
         denom = 1.0 - zi * zi
@@ -190,9 +190,9 @@ def aab_inconsistency_batch(G3: np.ndarray, G1: np.ndarray, G2: np.ndarray) -> n
     # product with g3
     rows = np.flatnonzero(~inside)
     first = x[rows] <= y[rows]
-    g = G2[rows]
-    g[first] = G1[rows[first]]
-    out[rows] = great_circle_distance_batch(G3[rows], -g)
+    g = np.take(G2, rows, axis=0)
+    g[first] = np.take(G1, rows[first], axis=0)
+    out[rows] = great_circle_distance_batch(np.take(G3, rows, axis=0), -g)
     return out
 
 

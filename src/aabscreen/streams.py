@@ -36,11 +36,10 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def require_integers(config, *names: str) -> None:
-    """Raise ``ValueError`` naming the first of the fields ``names`` of
-    ``config`` that is not an integer (numpy integers are), e.g. s = 2.5."""
-    for name in names:
-        value = getattr(config, name)
+def require_integers(**values) -> None:
+    """Raise ``ValueError`` naming the first of the keyword ``values`` that
+    is not an integer (numpy integers are), e.g. s = 2.5."""
+    for name, value in values.items():
         try:
             operator.index(value)
         except TypeError:

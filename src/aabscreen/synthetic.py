@@ -46,7 +46,7 @@ class UCParams:
     seed: int
 
     def __post_init__(self):
-        require_integers(self, "n", "seed")
+        require_integers(n=self.n, seed=self.seed)
         if self.n < 2:
             raise ValueError("n must be >= 2")
         if not 0.0 <= self.p <= 1.0:

@@ -1,12 +1,14 @@
-"""Dense reference solvers: the spectral and IRLS solves as first written.
+"""Dense reference solvers: the spectral solve as first written, and LUD
+run to high accuracy.
 
 The spectral solve assembles the form as an (N, N, 3, 3) block array with
 ``np.add.at``, lifts translations with a ``np.kron`` penalty and takes the
-two smallest eigenpairs from a full ``scipy.linalg.eigh``.  Each IRLS round
-builds its Laplacian with ``np.add.at`` and solves it with
-``scipy.linalg.solve``.  The library's spectral solve is matrix-free and its
-IRLS rounds factor; these copies are the numeric oracles both are checked
-against.
+two smallest eigenpairs from a full ``scipy.linalg.eigh``.  The LUD
+reference multiplies by a dense incidence matrix and solves each t-step
+with a Cholesky factorization, where the library gathers, sums with
+``bincount`` and multiplies by an inverse, and it returns a dual point that
+certifies how close its objective is to the optimum.  The library's solves
+are checked against these.
 """
 
 from __future__ import annotations
@@ -14,17 +16,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from aabscreen.graph import Locations, ViewGraph
-from aabscreen.solvers import (
-    _CONVERGENCE_TOL,
-    _GAP_TOL,
-    DegenerateInstanceError,
-    LocationEstimate,
-    _edge_residuals,
-    _fit_similarity,
-    _gauge_fixed,
-    _solver_vertices,
-)
+from aabscreen.graph import ViewGraph
+from aabscreen.solvers import _GAP_TOL, DegenerateInstanceError, _edge_residuals, _solver_vertices
 
 
 def dense_form(g: ViewGraph, verts: np.ndarray) -> np.ndarray:
@@ -70,63 +63,59 @@ def dense_solve_spectral(g: ViewGraph):
     return verts, ends, t, _edge_residuals(g, ends, t)
 
 
-def dense_irls_lud(g: ViewGraph, max_iters: int = 100):
-    """``solve_irls_lud`` on the dense reference solves."""
-    delta = 1e-8
+def dense_lud(g: ViewGraph, tol: float = 1e-10, max_iters: int = 20_000):
+    """LUD to high accuracy: over-relaxed ADMM at a fixed penalty on the
+    dense incidence matrix B, each t-step a direct solve; returns
+    (objective, lam).
+
+    ``lam`` is the multiplier of y = Bt, rho u, projected onto
+    {B^T lam = 0}.  The dual of LUD is max -sum <gamma_e, lam_e> subject to
+    B^T lam = 0, ||lam_e|| <= 1 and <gamma_e, lam_e> <= 0, so a ``lam`` that
+    meets the last two, after the projection moved it, certifies a lower
+    bound on the optimum.  The iteration stops once the primal and dual
+    residuals are both at most ``tol``.
+    """
     verts, ends, t, _ = dense_solve_spectral(g)
-    n = verts.size
-    ia, ja = ends
-    gam = g.direction_array
+    n, m = verts.size, g.num_edges
+    b = np.zeros((m, n))
+    b[np.arange(m), ends[0]] = 1.0
+    b[np.arange(m), ends[1]] = -1.0
+    # components lead, t as (3, N) and y as (3, m): BLAS multiplies three
+    # rows by b far faster than b by three columns
+    gam = g.direction_array.T
+    t = t.T
 
-    dots = np.einsum("ij,ij->i", t[ia] - t[ja], gam)
+    # a start near the optimum's scale, which the optimum does not depend on:
+    # the shortest positive displacement along its direction at length 1,
+    # unless that makes the median one longer than 10
+    dots = np.einsum("ij,ij->j", t @ b.T, gam)
     if dots.sum() < 0.0:
-        t = -t
-        dots = -dots
+        t, dots = -t, -dots
     positive = dots[dots > 0.0]
-    med = float(np.median(positive)) if positive.size else 1.0
-    low = float(positive.min()) if positive.size else 1.0
-    t = t * min(1.0 / max(low, 1e-12), 10.0 / max(med, 1e-12))
+    t = t * min(1.0 / max(positive.min(), 1e-12), 10.0 / max(np.median(positive), 1e-12))
 
-    def smoothed_objective(r):
-        small = r < delta
-        return float(np.where(small, (r * r + delta * delta) / (2.0 * delta), r).sum())
-
-    trace = []
-    converged = False
-    iterations = 1
-    for _ in range(max_iters - 1):
-        diffs = t[ia] - t[ja]
-        ell = np.maximum(1.0, np.einsum("ij,ij->i", diffs, gam))
-        r = np.linalg.norm(diffs - ell[:, None] * gam, axis=1)
-        w = 1.0 / np.maximum(r, delta)
-
-        lap = np.zeros((n, n))
-        np.add.at(lap, (ia, ia), w)
-        np.add.at(lap, (ja, ja), w)
-        np.add.at(lap, (ia, ja), -w)
-        np.add.at(lap, (ja, ia), -w)
-        rhs = np.zeros((n, 3))
-        contrib = (w * ell)[:, None] * gam
-        np.add.at(rhs, ia, contrib)
-        np.add.at(rhs, ja, -contrib)
-        mu = float(np.trace(lap)) / n + 1.0
-        t_new = scipy.linalg.solve(lap + mu / n, rhs, assume_a="pos")
-        t_new = t_new - t_new.mean(axis=0)
-
-        iterations += 1
-        diffs = t_new[ia] - t_new[ja]
-        ell = np.maximum(1.0, np.einsum("ij,ij->i", diffs, gam))
-        trace.append(smoothed_objective(np.linalg.norm(diffs - ell[:, None] * gam, axis=1)))
-
-        a = _gauge_fixed(t_new)
-        b = _gauge_fixed(t)
-        s, shift = _fit_similarity(a, b)
-        change = float(np.linalg.norm(s * a + shift - b))
-        t = t_new
-        if change <= _CONVERGENCE_TOL:
-            converged = True
+    alpha, rho = 1.8, 1.0
+    factor = scipy.linalg.cho_factor(b.T @ b + 1.0 / n)
+    y = t @ b.T
+    u = np.zeros_like(y)
+    for _ in range(max_iters):
+        t = scipy.linalg.cho_solve(factor, ((y - u) @ b).T).T
+        bt = t @ b.T
+        v = alpha * bt + (1.0 - alpha) * y + u
+        d = v - np.maximum(1.0, np.einsum("ij,ij->j", v, gam)) * gam
+        y_prev = y
+        y = v - d / np.maximum(1.0, rho * np.linalg.norm(d, axis=0))
+        u = v - y
+        if max(np.linalg.norm(bt - y), rho * np.linalg.norm((y - y_prev) @ b)) <= tol:
             break
+    else:
+        raise AssertionError(f"reference LUD did not reach {tol} in {max_iters} iterations")
 
-    t = _gauge_fixed(t)
-    res = _edge_residuals(g, ends, t)
-    return LocationEstimate(Locations(verts, t), res, converged, iterations, trace)
+    diffs = t @ b.T
+    ell = np.maximum(1.0, np.einsum("ij,ij->j", diffs, gam))
+    objective = float(np.linalg.norm(diffs - ell * gam, axis=0).sum())
+    # the part of lam in the range of B is B x, with x solving the same
+    # system as a t-step
+    lam = rho * u
+    lam -= scipy.linalg.cho_solve(factor, (lam @ b).T).T @ b.T
+    return objective, lam.T

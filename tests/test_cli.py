@@ -96,6 +96,19 @@ class TestSubcommands:
         assert "unrecognized arguments: --delta" in capsys.readouterr().err
         assert not (tmp_path / "estimate.txt").exists()
 
+    @pytest.mark.parametrize("solver", ["ls", "irls"])
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_solve_max_iters_is_usage_error(self, tmp_path, capsys, solver, max_iters):
+        # the edge list need not exist: the flag is checked before any read
+        out = tmp_path / "estimate.txt"
+        code = run(
+            "solve", "--edges", tmp_path / "missing.txt", "--solver", solver,
+            "--max-iters", max_iters, "--out", out,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: --max-iters must be >= 1\n"
+        assert not out.exists()
+
     def test_missing_file_is_clean_error(self, tmp_path, capsys):
         code = run(
             "screen", "--edges", tmp_path / "nope.txt", "--stat", "naive",
@@ -470,12 +483,14 @@ GOLDEN_STAGES = [
 # sha256 prefixes of every output file and of the stages' stdout, recorded
 # before the writers shared one write path (numpy 2.4, x86-64); the twelve
 # files computed from a read edge list were recorded again once the reader
-# kept unit directions as written.  As with the statistics goldens, the
+# kept unit directions as written, and irls.txt, the errors of the evaluate
+# stage that reads it, and stdout once the robust solve became LUD by
+# ADMM.  As with the statistics goldens, the
 # float digests rest on numpy's transcendental functions and BLAS rounding
 # the same way on another CPU or build.
 GOLDEN_OUTPUTS = {
     "edges.txt": "79d5a791f6ccefcf",
-    "eval-full/errors.json": "f5a8db155e8f2710",
+    "eval-full/errors.json": "4e31a9cc92571366",
     "eval-full/hist.csv": "039a94b2a0486638",
     "eval-full/roc.csv": "7aa9244f84c9409d",
     "eval-plain/errors.json": "9fb847e5eff829ad",
@@ -483,7 +498,7 @@ GOLDEN_OUTPUTS = {
     "eval-plain/roc.csv": "1d00503cfaf3a73d",
     "formula.json": "0a4a413e4eb834e9",
     "ir.csv": "e9437b8fc3737c1c",
-    "irls.txt": "4f82cc58eedf577e",
+    "irls.txt": "34d6d89b4aa4274c",
     "labels.csv": "ec441e2d69d47c6c",
     "lemma.json": "75916f587c682d4e",
     "locations.txt": "e7c1c8931d1c7813",
@@ -493,7 +508,7 @@ GOLDEN_OUTPUTS = {
     "pruned.txt": "a1ff5a84c03c19fe",
     "thresholded.txt": "ba78606d59c9901b",
     "z.json": "081e8215c8faed3a",
-    "stdout": "428fd2b3cf21176e",
+    "stdout": "798bd2de25171343",
 }
 
 
@@ -594,9 +609,9 @@ def run_fresh(code: str, *argv) -> str:
     return proc.stdout
 
 
-class TestScipyLoadedOnlyToFactor:
-    """scipy.linalg is imported on the first factorization, which only IRLS
-    does, so the other stages, and the spectral solve, never pay its import."""
+class TestNoStageLoadsScipy:
+    """No module of the package imports scipy, so no stage pays its import;
+    the robust solve inverts its Laplacian with numpy."""
 
     SOLVE_AND_REPORT = (
         "import sys; from aabscreen.cli import main; "
@@ -624,21 +639,14 @@ class TestScipyLoadedOnlyToFactor:
         assert out.splitlines()[-1].split() == ["0", "False"]
         assert (tmp_path / "eval" / "errors.json").exists()
 
-    def solve_loads_scipy(self, generated, tmp_path, solver) -> bool:
+    @pytest.mark.parametrize("solver", ["ls", "irls"])
+    def test_solve_stage(self, generated, tmp_path, solver):
         out = run_fresh(
             self.SOLVE_AND_REPORT,
             "solve", "--edges", generated["edges"], "--solver", solver,
             "--out", tmp_path / "estimate.txt",
         )
-        code, loaded = out.splitlines()[-1].split()
-        assert code == "0"
-        return loaded == "True"
-
-    def test_solve_stage_loads_it(self, generated, tmp_path):
-        assert self.solve_loads_scipy(generated, tmp_path, "irls")
-
-    def test_spectral_solve_stage_does_not(self, generated, tmp_path):
-        assert not self.solve_loads_scipy(generated, tmp_path, "ls")
+        assert out.splitlines()[-1].split() == ["0", "False"]
 
 
 class TestNonFiniteParameters:

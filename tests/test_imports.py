@@ -1,6 +1,6 @@
-"""Modules of the package import only each other's public names, every
-exported name exists, and importing the package applies the AAB_THREADS
-cap before numpy loads."""
+"""Modules of the package import only each other's public names and no
+scipy, every exported name exists, and importing the package applies the
+AAB_THREADS cap before numpy loads."""
 
 from __future__ import annotations
 
@@ -26,6 +26,21 @@ def test_no_private_names_across_modules():
                     for alias in node.names
                     if alias.name.startswith("_")
                 ]
+    assert offending == []
+
+
+def test_no_module_imports_scipy():
+    """numpy is the one dependency: scipy serves the tests only."""
+    offending = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offending += [f"{path.name}:{node.lineno}: {name}" for name in names if name.split(".")[0] == "scipy"]
     assert offending == []
 
 
