@@ -10,9 +10,12 @@ weight of triangle k decaying exponentially in the larger of the current
 statistics of edges {k, i} and {j, k}.  The decay rate increases each round,
 so triangles through currently-suspicious edges lose influence first.
 
-Draws often repeat a triangle on sparse graphs, so the cache holds each
-distinct sampled triangle once with the number of draws that picked it, and
-both statistics weight it by that multiplicity.
+A triangle whose base pair is (anti)parallel has no consistency arc, so
+each draw picks uniformly among the edge's usable triangles, the others
+left out; an edge without one is unsupported and gets no draws.  Draws
+often repeat a triangle on sparse graphs, so the cache holds each distinct
+sampled triangle once with the number of draws that picked it, and both
+statistics weight it by that multiplicity.
 """
 
 from __future__ import annotations
@@ -33,9 +36,6 @@ __all__ = [
     "naive_aab",
     "ir_aab",
 ]
-
-# Retries per degenerate sampled triangle before it is dropped from the mean.
-_MAX_RESAMPLE_ROUNDS = 8
 
 # Most draws, and most common neighbours tested for degeneracy, in a block
 # of sampling and geometry, beyond those of its first edge: bounds the
@@ -62,11 +62,11 @@ class AABConfig:
 
 @dataclass
 class TripleCache:
-    """Flat record of the distinct retained sampled triangles.
+    """Flat record of the distinct sampled triangles.
 
-    One row per distinct (edge, common neighbour k) that a retained draw
-    picked; ``multiplicity`` counts those draws, so an edge's
-    multiplicities sum to s less its dropped draws.  Arrays are parallel;
+    One row per distinct (edge, common neighbour k) that a draw picked;
+    ``multiplicity`` counts those draws, so the multiplicities of every
+    supported edge sum to s.  Arrays are parallel;
     ``edge_rows``/``rows_jk``/``rows_ki`` index the graph's canonical edge
     arrays.  Rows are ordered by edge row, then by k.
 
@@ -126,50 +126,38 @@ class EdgeStatistics:
         return set(edge_tuples(self.edge_array[np.isnan(self.value)]))
 
 
-def _draw_positions(g: ViewGraph, seed: int, rows, draws) -> np.ndarray:
-    """Position in ``g.common_neighbor_csr`` of the common neighbour of edge
-    ``rows`` chosen by draw index ``draws``.
-
-    Both broadcast; every draw is keyed by (seed, canonical edge, index).
-    A position names one (edge, common neighbour) pair.
-    """
-    indptr = g.common_neighbor_csr[0]
-    ends = g.edge_array[rows]
-    h = edge_hash(seed, TAG_TRIPLES, ends[..., 0], ends[..., 1], draws)
-    start = indptr[rows]
-    return start + bounded_index(h, indptr[rows + 1] - start)
-
-
 def _sample_block(g: ViewGraph, cfg: AABConfig, rows: np.ndarray):
     """Edge row, neighbour k, row of {j, k} and row of {k, i} of the
-    distinct retained triangles of the supported edge ``rows``, and the
-    number of retained draws of each.
+    distinct sampled triangles of the edges ``rows``, and the number of
+    draws of each.
 
-    Sample ``slot`` of an edge uses draw index ``slot`` and, in redraw round
-    r, draw index ``s * r + slot``.  ``rows`` are increasing and consecutive
-    among the supported edges, so their common neighbours fill one CSR
-    slice; whether a triangle is degenerate depends on its position alone,
-    so it is tested once over that slice.
+    Draw ``slot`` of an edge with u usable triangles takes the
+    ``bounded_index(h, u)``-th of them in CSR order, h keyed by (seed,
+    canonical edge, slot).  ``rows`` are increasing and consecutive among
+    the edges with common neighbours, so these fill one CSR slice; whether
+    a triangle is degenerate depends on its position alone, so it is
+    tested once over that slice.
     """
     indptr, indices, rows_jk, rows_ki = g.common_neighbor_csr
     lo, hi = indptr[rows[0]], indptr[rows[-1] + 1]
     d = g.direction_array
     # the test depends on the squared dot product only, so orientation is
     # moot; np.take gathers whole rows about twice as fast as indexing does
-    bad_at = degenerate_base_mask(
-        np.take(d, rows_jk[lo:hi], axis=0), np.take(d, rows_ki[lo:hi], axis=0)
+    usable = np.flatnonzero(
+        ~degenerate_base_mask(
+            np.take(d, rows_jk[lo:hi], axis=0), np.take(d, rows_ki[lo:hi], axis=0)
+        )
     )
-    pos = (_draw_positions(g, cfg.seed, rows[:, None], np.arange(cfg.s)) - lo).reshape(-1)
-    bad = np.flatnonzero(bad_at[pos])
-    for rnd in range(1, _MAX_RESAMPLE_ROUNDS + 1):
-        if bad.size == 0:
-            break
-        draws = cfg.s * rnd + bad % cfg.s
-        pos[bad] = _draw_positions(g, cfg.seed, rows[bad // cfg.s], draws) - lo
-        bad = bad[bad_at[pos[bad]]]
-    # every draw still on a degenerate triangle is dropped
-    counts = np.bincount(pos, minlength=hi - lo)
-    counts[bad_at] = 0
+    # each edge's usable triangles are usable[start:start + count], as
+    # offsets into the slice
+    start = np.searchsorted(usable, indptr[rows] - lo)
+    count = np.searchsorted(usable, indptr[rows + 1] - lo) - start
+    drawn = count > 0
+    rows, start, count = rows[drawn], start[drawn], count[drawn]
+    ends = g.edge_array[rows]
+    h = edge_hash(cfg.seed, TAG_TRIPLES, ends[:, :1], ends[:, 1:], np.arange(cfg.s))
+    pos = np.take(usable, start[:, None] + bounded_index(h, count[:, None]))
+    counts = np.bincount(pos.reshape(-1), minlength=hi - lo)
     seen = np.flatnonzero(counts)
     at = seen + lo
     edge_rows = np.searchsorted(indptr, at, side="right") - 1
@@ -177,8 +165,7 @@ def _sample_block(g: ViewGraph, cfg: AABConfig, rows: np.ndarray):
 
 
 def _build_cache(g: ViewGraph, cfg: AABConfig) -> TripleCache:
-    """Sample triangles, redraw degenerate ones, evaluate each distinct
-    retained triangle once."""
+    """Sample s usable triangles per edge, evaluate each distinct one once."""
     neighbors = np.diff(g.common_neighbor_csr[0])
     supported = np.flatnonzero(neighbors)
     d = g.direction_array
@@ -199,26 +186,26 @@ def _build_cache(g: ViewGraph, cfg: AABConfig) -> TripleCache:
     return TripleCache(*(concat_parts(p, dtype) for p, dtype in zip(parts, dtypes)))
 
 
-def _segment_mean(cache: TripleCache, num_edges: int) -> np.ndarray:
-    """Average per edge row over the retained draws; NaN on edges without
-    common neighbours or whose every sample stayed degenerate."""
-    counts = np.bincount(cache.edge_rows, weights=cache.multiplicity, minlength=num_edges)
+def _segment_mean(cache: TripleCache, num_edges: int, s: int) -> np.ndarray:
+    """Average per edge row over its s draws; NaN on edges without a
+    usable triangle."""
     sums = np.bincount(
         cache.edge_rows, weights=cache.multiplicity * cache.inconsistencies, minlength=num_edges
     )
-    return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    vals = np.full(num_edges, np.nan)
+    vals[cache.edge_rows] = sums[cache.edge_rows] / s
+    return vals
 
 
 def naive_aab(g: ViewGraph, cfg: AABConfig) -> EdgeStatistics:
     """Sampled triangle-average AAB statistic for every edge.
 
-    Edges without common neighbors are flagged unsupported; sampled
-    triangles with an (anti)parallel base pair are redrawn with fresh draw
-    indices of the edge a bounded number of times, then dropped from the
-    average.
+    Each edge averages its s draws, taken uniformly with replacement from
+    its triangles whose base pair is not (anti)parallel; edges without such
+    a triangle are flagged unsupported.
     """
     cache = _build_cache(g, cfg)
-    return EdgeStatistics(g.edge_array, _segment_mean(cache, g.num_edges), cache=cache)
+    return EdgeStatistics(g.edge_array, _segment_mean(cache, g.num_edges, cfg.s), cache=cache)
 
 
 def ir_aab(g: ViewGraph, cfg: AABConfig) -> EdgeStatistics:
@@ -240,7 +227,7 @@ def ir_aab(g: ViewGraph, cfg: AABConfig) -> EdgeStatistics:
     """
     cache = _build_cache(g, cfg)
     m_edges = g.num_edges
-    vals = _segment_mean(cache, m_edges)
+    vals = _segment_mean(cache, m_edges, cfg.s)
     diag = IRDiagnostics()
     big = float(cache.inconsistencies.max(initial=0.0))
     if big == 0.0:

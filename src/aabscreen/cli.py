@@ -150,8 +150,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_screen(args) -> int:
     _distinct_outputs({"--out": args.out, "--per-iteration": args.per_iteration})
-    g = parse_edge_list(args.edges)
     cfg = AABConfig(s=args.s, T=args.T, seed=args.seed)
+    g = parse_edge_list(args.edges)
     stats = (naive_aab if args.stat == "naive" else ir_aab)(g, cfg)
     meta = {"stat": args.stat, "s": args.s, "T": args.T, "seed": args.seed}
     write_statistics(g, stats, args.out, metadata=meta)
@@ -256,40 +256,29 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # the report writer sorts keys, so the order of these updates is moot
+    payload = {"mode": args.mode, "samples": args.samples, "seed": args.seed}
     if args.mode == "lemma":
-        grid = np.linspace(0.0, np.pi, 9)
         rows = []
-        for x in grid:
-            est = mc_estimate_f(float(x), args.samples, args.seed)
-            ref = reference_mean_inconsistency(float(x))
+        for x in np.linspace(0.0, np.pi, 9).tolist():
+            est = mc_estimate_f(x, args.samples, args.seed)
+            ref = reference_mean_inconsistency(x)
             rows.append(
                 {
-                    "x": float(x),
+                    "x": x,
                     "estimate": est.value,
                     "std_error": est.std_error,
                     "reference": ref,
                     "deviation": est.value - ref,
                 }
             )
-        payload = {"mode": "lemma", "samples": args.samples, "seed": args.seed, "grid": rows}
+        payload["grid"] = rows
     elif args.mode == "z":
         est = mc_estimate_Z(args.samples, args.seed)
-        payload = {
-            "mode": "z",
-            "samples": args.samples,
-            "seed": args.seed,
-            "estimate": est.value,
-            "std_error": est.std_error,
-        }
+        payload.update(estimate=est.value, std_error=est.std_error)
     else:
         cmp_ = formula_vs_oracle(args.samples, args.oracle_steps, args.seed)
-        payload = {
-            "mode": "formula",
-            "samples": args.samples,
-            "oracle_steps": args.oracle_steps,
-            "seed": args.seed,
-            **dataclasses.asdict(cmp_),
-        }
+        payload.update(oracle_steps=args.oracle_steps, **dataclasses.asdict(cmp_))
     write_json_report(payload, args.out)
     print(f"verification report written to {args.out}")
     return 0

@@ -14,6 +14,7 @@ import numpy as np
 from .aabstats import EdgeStatistics
 from .graph import Locations, ViewGraph, match_edge_rows
 from .sphere import great_circle_distance_batch
+from .streams import require_integers
 from .synthetic import GroundTruth
 
 __all__ = [
@@ -143,6 +144,7 @@ def roc_auc(stats: EdgeStatistics, labels: EdgeLabels) -> RocCurve:
 
 def histogram(stats: EdgeStatistics, labels: EdgeLabels, bins: int) -> HistogramCounts:
     """Equal-width per-class counts over the supported statistic range."""
+    require_integers(bins=bins)
     if bins < 1:
         raise ValueError("bins must be >= 1")
     s, rows = _supported_with_labels(stats, labels)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .aabstats import EdgeStatistics
 from .graph import ViewGraph, match_edge_rows
+from .streams import require_integers
 
 __all__ = ["ScreeningPolicy", "filter_edges", "solvable_component"]
 
@@ -37,6 +38,7 @@ class ScreeningPolicy:
     drop_unsupported: bool = False
 
     def __post_init__(self):
+        require_integers(min_degree=self.min_degree)
         if self.mode == "keep_fraction" and not 0.0 < self.keep_fraction <= 1.0:
             raise ValueError("keep_fraction must be in (0, 1]")
         if self.threshold is not None and math.isnan(self.threshold):
@@ -85,6 +87,7 @@ def solvable_component(g: ViewGraph, min_degree: int = 2) -> ViewGraph:
     component containing the smallest vertex id).  Idempotent.  Raises if
     nothing survives.
     """
+    require_integers(min_degree=min_degree)
     if g.num_edges == 0:
         raise ValueError("graph has no edges")
 

@@ -28,7 +28,7 @@ from .sphere import (
     degenerate_base_mask,
     sample_uniform_sphere_batch,
 )
-from .streams import TAG_MONTE_CARLO, derive_rng
+from .streams import TAG_MONTE_CARLO, derive_rng, require_integers
 
 __all__ = [
     "McEstimate",
@@ -74,6 +74,7 @@ def reference_mean_inconsistency(x: float) -> float:
 def _chunks(samples: int, seed: int):
     """(rng, size) pairs that draw ``samples`` values in chunks of at most
     _CHUNK from the one Monte Carlo stream of ``seed``."""
+    require_integers(samples=samples, seed=seed)
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
     rng = derive_rng(seed, TAG_MONTE_CARLO)
@@ -168,6 +169,7 @@ def formula_vs_oracle(samples: int, oracle_steps: int, seed: int) -> FormulaComp
     root) variant against the arc-scan oracle with the given grid size.
     """
     chunks = _chunks(samples, seed)
+    require_integers(oracle_steps=oracle_steps)
     if oracle_steps < 10_000:
         raise ValueError("oracle_steps must be >= 10000")
 

@@ -1,19 +1,21 @@
 """Reference AAB triangle caches and statistics: per draw and exhaustive.
 
-The sampler and the statistics as first written: one cache row per draw, in
-draw order, each looked up and evaluated on its own, repeats included;
-degenerate draws redrawn with draw index ``s * r + slot`` in round r, at
-most 8 rounds, then dropped.  The plain average and the reweighting rounds
-run over those rows with unit weights and without a per-edge shift of the
-exponent.  The library keeps one row per distinct (edge, common neighbour)
-with a multiplicity; this copy is the oracle it is checked against.
-
 ``all_neighbor_cache`` holds every usable triangle of every edge once, the
 population the sampler draws from, so its plain average is the exact
 statistic that the sampled one estimates.
+
+``build_cache`` and the statistics here are the library's written out per
+draw: s draws per edge over that population, one cache row per draw, in
+draw order, repeats included.  The plain average and the reweighting
+rounds run over those rows with unit weights and without a per-edge shift
+of the exponent.  The library keeps one row per distinct (edge, common
+neighbour) with a multiplicity; this copy is the oracle it is checked
+against.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 import numpy as np
 
@@ -22,46 +24,18 @@ from aabscreen.graph import ViewGraph
 from aabscreen.sphere import aab_inconsistency_batch, degenerate_base_mask
 from aabscreen.streams import TAG_TRIPLES, bounded_index, edge_hash
 
-MAX_RESAMPLE_ROUNDS = 8
-
-
-def pick_neighbors(g: ViewGraph, seed: int, rows, draws) -> np.ndarray:
-    """Common neighbour of edge ``rows`` chosen by draw index ``draws``."""
-    indptr, indices, _, _ = g.common_neighbor_csr
-    ends = g.edge_array[rows]
-    h = edge_hash(seed, TAG_TRIPLES, ends[..., 0], ends[..., 1], draws)
-    start = indptr[rows]
-    return indices[start + bounded_index(h, indptr[rows + 1] - start)]
-
-
-def degenerate(g: ViewGraph, rows_jk: np.ndarray, rows_ki: np.ndarray) -> np.ndarray:
-    d = g.direction_array
-    return degenerate_base_mask(d[rows_jk], d[rows_ki])
-
 
 def build_cache(g: ViewGraph, cfg: AABConfig) -> TripleCache:
-    """Every retained draw as its own row, multiplicity 1, in draw order."""
-    indptr = g.common_neighbor_csr[0]
-    supported = np.flatnonzero(np.diff(indptr))
-    edge_rows = np.repeat(supported, cfg.s)
-    neighbors = pick_neighbors(g, cfg.seed, supported[:, None], np.arange(cfg.s)).reshape(-1)
-    i_arr = g.edge_array[edge_rows, 0]
-    j_arr = g.edge_array[edge_rows, 1]
-    rows_jk = g.edge_rows_of_pairs(j_arr, neighbors)
-    rows_ki = g.edge_rows_of_pairs(neighbors, i_arr)
-
-    bad = np.flatnonzero(degenerate(g, rows_jk, rows_ki))
-    for rnd in range(1, MAX_RESAMPLE_ROUNDS + 1):
-        if bad.size == 0:
-            break
-        k = pick_neighbors(g, cfg.seed, edge_rows[bad], cfg.s * rnd + bad % cfg.s)
-        neighbors[bad] = k
-        rows_jk[bad] = g.edge_rows_of_pairs(j_arr[bad], k)
-        rows_ki[bad] = g.edge_rows_of_pairs(k, i_arr[bad])
-        bad = bad[degenerate(g, rows_jk[bad], rows_ki[bad])]
-    keep = np.ones(edge_rows.size, dtype=bool)
-    keep[bad] = False
-    return evaluated(g, keep, edge_rows, neighbors, rows_jk, rows_ki)
+    """Every draw as its own row, multiplicity 1, in draw order: draw
+    ``slot`` of an edge with u usable triangles takes the
+    ``bounded_index(h, u)``-th of its rows of ``all_neighbor_cache``, h
+    keyed by (seed, edge, slot)."""
+    pool = all_neighbor_cache(g)
+    rows, first, usable = np.unique(pool.edge_rows, return_index=True, return_counts=True)
+    ends = g.edge_array[rows]
+    h = edge_hash(cfg.seed, TAG_TRIPLES, ends[:, :1], ends[:, 1:], np.arange(cfg.s))
+    picks = (first[:, None] + bounded_index(h, usable[:, None])).reshape(-1)
+    return TripleCache(*(getattr(pool, f.name)[picks] for f in fields(TripleCache)))
 
 
 def all_neighbor_cache(g: ViewGraph) -> TripleCache:
@@ -71,12 +45,8 @@ def all_neighbor_cache(g: ViewGraph) -> TripleCache:
     edge_rows = np.repeat(np.arange(g.num_edges), np.diff(indptr))
     rows_jk = g.edge_rows_of_pairs(g.edge_array[edge_rows, 1], neighbors)
     rows_ki = g.edge_rows_of_pairs(neighbors, g.edge_array[edge_rows, 0])
-    keep = ~degenerate(g, rows_jk, rows_ki)
-    return evaluated(g, keep, edge_rows, neighbors, rows_jk, rows_ki)
-
-
-def evaluated(g: ViewGraph, keep, edge_rows, neighbors, rows_jk, rows_ki) -> TripleCache:
-    """Cache of the triangles selected by ``keep``, each with multiplicity 1."""
+    d = g.direction_array
+    keep = ~degenerate_base_mask(d[rows_jk], d[rows_ki])
     edge_rows, neighbors, rows_jk, rows_ki = (
         a[keep] for a in (edge_rows, neighbors, rows_jk, rows_ki)
     )

@@ -27,8 +27,8 @@ EZ = np.array([0.0, 0.0, 1.0])
 
 
 def exact_zero_triangle_plus_noise() -> ViewGraph:
-    """Four vertices: one triangle whose retained inconsistencies are exactly
-    0.0 (its third edge drops out with a degenerate base), plus a second
+    """Four vertices: one triangle whose sampled inconsistencies are exactly
+    0.0 (its third edge has only a degenerate base), plus a second
     triangle with inconsistency pi/2 through vertex 3."""
     dirs = {
         (0, 1): np.array([1.0, 0.0, 0.0]),
@@ -42,9 +42,8 @@ def exact_zero_triangle_plus_noise() -> ViewGraph:
 
 def mostly_degenerate_edge() -> ViewGraph:
     """Edge {0, 1} with common neighbours 2..6: the triangles through 2..5
-    have parallel base pairs and the one through 6 does not, so most of the
-    edge's draws are redrawn, onto 6 or again onto a degenerate triangle,
-    and some are dropped after the last round."""
+    have parallel base pairs and the one through 6 does not, so every draw
+    of the edge picks 6."""
     edges = [(0, 1, np.array([1.0, 0.0, 0.0]))]
     edges += [(k, v, EZ) for k in range(2, 6) for v in (0, 1)]
     edges += [(6, 0, np.array([0.0, 1.0, 0.0])), (6, 1, unit([1.0, 1.0, 0.0]))]
@@ -52,7 +51,7 @@ def mostly_degenerate_edge() -> ViewGraph:
 
 
 def picks_of(stats, g, edge) -> np.ndarray:
-    """Common-neighbour picks of one edge's retained draws, sorted."""
+    """Common-neighbour picks of one edge's draws, sorted."""
     cache = stats.cache
     mask = cache.edge_rows == g.edge_rows_of_pairs(*edge)
     return np.repeat(cache.neighbors[mask], cache.multiplicity[mask])
@@ -95,7 +94,7 @@ def pcg64_inconsistencies(g: ViewGraph, cfg: AABConfig) -> dict[int, np.ndarray]
 
 
 def expanded_inconsistencies(cache, row) -> np.ndarray:
-    """Cached inconsistencies of edge ``row``, one per retained draw."""
+    """Cached inconsistencies of edge ``row``, one per draw."""
     mask = cache.edge_rows == row
     return np.repeat(cache.inconsistencies[mask], cache.multiplicity[mask])
 
@@ -177,7 +176,7 @@ class TestNaive:
         assert np.all((vals >= 0) & (vals <= math.pi))
 
     def test_cost_scaling(self):
-        # every sample retained: s draws per supported edge
+        # s draws per supported edge
         g, _ = generate_uc(UCParams(n=30, p=0.6, q=0.3, sigma=0.0, seed=9))
         cfg = AABConfig(s=13, seed=2)
         stats = naive_aab(g, cfg)
@@ -308,9 +307,9 @@ class TestTrianglePicks:
         assert abs(new_mean - old_mean) <= 4.0 * math.sqrt(new_var + old_var)
 
     def test_geometry_blocks_do_not_change_values(self, monkeypatch):
-        # a block of 7 draws holds one edge's s draws: every edge is sampled,
-        # redrawn and evaluated on its own, and the cache and both
-        # statistics stay bit-identical
+        # a block of 7 draws holds one edge's s draws: every edge is sampled
+        # and evaluated on its own, and the cache and both statistics stay
+        # bit-identical
         uc, _ = generate_uc(UCParams(n=30, p=0.5, q=0.3, sigma=0.05, seed=5))
         cases = [
             (uc, AABConfig(s=10, seed=5)),
@@ -345,7 +344,7 @@ class TestIrAab:
         assert stats.value.max() <= 1e-12
 
     def test_all_zero_guard_returns_naive(self):
-        # the retained triangles of this graph evaluate to exactly 0.0, so
+        # the sampled triangles of this graph evaluate to exactly 0.0, so
         # the rate would divide by zero; the guard returns the plain average
         dirs = {
             (0, 1): np.array([1.0, 0.0, 0.0]),
@@ -496,7 +495,8 @@ def oracle_case(name: str) -> tuple[ViewGraph, AABConfig]:
         g, _ = generate_uc(UCParams(n=80, p=0.15, q=0.2, sigma=0.05, seed=2))
         return g, AABConfig(seed=2)
     if name == "exact-zero":
-        # edge (0, 2) is redrawn for every round, then dropped
+        # edge (0, 2) has one common neighbour, through a degenerate base,
+        # so it gets no draws
         return exact_zero_triangle_plus_noise(), AABConfig(s=10, seed=0)
     if name == "k9":
         points = np.random.default_rng(20240601).normal(size=(9, 3))
@@ -550,20 +550,18 @@ class TestPerDrawOracle:
         )
         assert_statistics_match(naive_aab(g, cfg), ir_aab(g, cfg), expected)
 
-    def test_redraws_reach_unpicked_triangles_and_drop(self):
-        # the mostly-degenerate cases exercise what the comparisons above
-        # need: a redraw landing on a triangle no first draw of its edge
-        # picked, and an edge keeping only part of its draws
-        unpicked = partial = False
+    def test_draws_skip_degenerate_triangles(self):
+        # every draw of edge {0, 1} lands on its one usable triangle, and
+        # every supported edge keeps all s draws
         for name in MOSTLY_DEGENERATE:
             g, cfg = oracle_case(name)
-            row = g.edge_rows_of_pairs(0, 1)
-            first = per_draw_cache.pick_neighbors(g, cfg.seed, row, np.arange(cfg.s))
-            cache = naive_aab(g, cfg).cache
-            mask = cache.edge_rows == row
-            unpicked |= 6 not in first and 6 in cache.neighbors[mask]
-            partial |= 0 < cache.multiplicity[mask].sum() < cfg.s
-        assert unpicked and partial
+            stats = naive_aab(g, cfg)
+            assert picks_of(stats, g, (0, 1)).tolist() == [6] * cfg.s
+            cache = stats.cache
+            supported = np.flatnonzero(~np.isnan(stats.value))
+            assert np.unique(cache.edge_rows).tolist() == supported.tolist()
+            per_edge = np.bincount(cache.edge_rows, weights=cache.multiplicity)
+            assert per_edge[supported].tolist() == [cfg.s] * supported.size
 
 
 class TestExactStatistic:
@@ -571,7 +569,7 @@ class TestExactStatistic:
         """Averaged over seeds, the sampled naive statistic of each edge is
         the mean of N = s * seeds independent uniform draws from the edge's
         triangles (no triangle of this instance is degenerate, so none is
-        dropped), whose exact mean and central moments come from the
+        left out), whose exact mean and central moments come from the
         all-neighbour cache.  With Y_e the standardized error of edge e,
         E[Y_e^2] = 1 and Var[Y_e^2] = 2 + (kurtosis_e - 3) / N exactly, so
         the sum of Y_e^2 over the edges must lie within 5 of its standard
@@ -757,9 +755,9 @@ def test_golden_statistics_and_cache(name):
 
 @pytest.mark.parametrize("name", [*GOLDEN, "mostly-degenerate-s20-0"])
 def test_sampling_looks_no_pair_up(name, monkeypatch):
-    """Sampling, redraws included, reads both side-edge rows of a triangle
-    from the common-neighbour CSR; the per-draw oracle, built first, looks
-    them up on its own."""
+    """Sampling reads both side-edge rows of a triangle from the
+    common-neighbour CSR; the per-draw oracle, built first, looks them up
+    on its own."""
     g, cfg = oracle_case(name)
     ref = per_draw_cache.build_cache(g, cfg)
     expected = per_draw_cache.ir_per_iteration(ref, g.num_edges, cfg.T)

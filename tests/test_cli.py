@@ -86,6 +86,16 @@ class TestSubcommands:
         assert capsys.readouterr().err == "error: s must be in [1, 2**31 - 1]\n"
         assert not (tmp_path / "stats.csv").exists()
 
+    def test_screen_checks_s_before_reading_edges(self, tmp_path, capsys):
+        # the edge list need not exist: --s is checked before any read
+        code = run(
+            "screen", "--edges", tmp_path / "missing.txt", "--stat", "ir", "--s", 0,
+            "--seed", 1, "--out", tmp_path / "stats.csv",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: s must be in [1, 2**31 - 1]\n"
+        assert not (tmp_path / "stats.csv").exists()
+
     def test_solve_has_no_delta(self, generated, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(

@@ -191,6 +191,13 @@ class TestHistogram:
         with pytest.raises(ValueError):
             histogram(stats_of(values), labels_of({(0, 1): True}), bins=0)
 
+    @pytest.mark.parametrize("bins", [2.5, 3.0])
+    def test_bins_must_be_an_integer(self, bins):
+        stats, labels = stats_of({(0, 1): 0.2}), labels_of({(0, 1): True})
+        with pytest.raises(ValueError, match=f"^bins must be an integer, got {bins!r}$"):
+            histogram(stats, labels, bins=bins)
+        assert histogram(stats, labels, bins=np.int64(3)).corrupted.tolist() == [1, 0, 0]
+
     def test_all_unsupported_is_error(self):
         stats = stats_of({}, unsupported={(0, 1), (0, 2)})
         with pytest.raises(ValueError, match="no edge has a supported statistic"):

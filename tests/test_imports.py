@@ -29,6 +29,32 @@ def test_no_private_names_across_modules():
     assert offending == []
 
 
+def test_every_private_name_is_read_in_its_module():
+    """A private module-level function, class or constant that its own
+    module never reads is dead: no other module may import it."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [t.id for t in targets if isinstance(t, ast.Name)]
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [
+            f"{path.name}: {name}"
+            for name in defined
+            if name.startswith("_") and not name.startswith("__") and name not in read
+        ]
+    assert unread == []
+
+
 def test_no_module_imports_scipy():
     """numpy is the one dependency: scipy serves the tests only."""
     offending = []

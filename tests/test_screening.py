@@ -38,6 +38,14 @@ class TestPolicy:
         with pytest.raises(ValueError):
             ScreeningPolicy(min_degree=-1)
 
+    @pytest.mark.parametrize("value", [2.5, "2"])
+    def test_min_degree_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match=f"^min_degree must be an integer, got {value!r}$"):
+            ScreeningPolicy(min_degree=value)
+
+    def test_numpy_integer_is_a_min_degree(self):
+        assert ScreeningPolicy(min_degree=np.int64(3)).min_degree == 3
+
     def test_mode_follows_threshold(self):
         assert ScreeningPolicy().mode == "keep_fraction"
         # with a threshold the fraction is ignored, so it is not validated
@@ -180,3 +188,10 @@ class TestSolvableComponent:
         g = star_of_edges(4, [(0, 1), (0, 2), (0, 3)])
         with pytest.raises(ValueError, match="survive"):
             solvable_component(g, 2)
+
+    @pytest.mark.parametrize("value", [2.5, 2.0])
+    def test_min_degree_must_be_an_integer(self, value):
+        g = star_of_edges(3, [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(ValueError, match=f"^min_degree must be an integer, got {value!r}$"):
+            solvable_component(g, value)
+        assert solvable_component(g, np.int32(2)).edges() == g.edges()

@@ -153,6 +153,29 @@ class TestFormulaVsOracle:
             formula_vs_oracle(samples=2000, oracle_steps=100, seed=0)
 
 
+ESTIMATORS = {
+    "f": lambda samples, seed: mc_estimate_f(1.0, samples, seed),
+    "z": mc_estimate_Z,
+    "formula": lambda samples, seed: formula_vs_oracle(samples, 10_000, seed),
+}
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("name", list(ESTIMATORS))
+    @pytest.mark.parametrize("field, samples, seed", [("samples", 1500.5, 1), ("seed", 2000, 1.5)])
+    def test_samples_and_seed_must_be_integers(self, name, field, samples, seed):
+        value = samples if field == "samples" else seed
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            ESTIMATORS[name](samples, seed)
+
+    def test_oracle_steps_must_be_an_integer(self):
+        with pytest.raises(ValueError, match=r"^oracle_steps must be an integer, got 20000\.5$"):
+            formula_vs_oracle(1000, 20000.5, 1)
+
+    def test_numpy_integers_are_counts(self):
+        assert mc_estimate_Z(np.int64(1000), np.uint32(1)) == mc_estimate_Z(1000, 1)
+
+
 class TestAcrossChunks:
     """With ``_CHUNK`` at 1000, 3,500 samples run as four chunks of one
     stream (1000, 1000, 1000, 500).  The values were recorded before the
