@@ -7,8 +7,10 @@ the two directions closing the triangle (i, j, k).  The reweighted variant
 keeps those sampled triangles and their cached inconsistencies, and for a
 fixed number of rounds replaces the plain average with a weighted one, the
 weight of triangle k decaying exponentially in the larger of the current
-statistics of edges {k, i} and {j, k}.  The decay rate increases each round,
-so triangles through currently-suspicious edges lose influence first.
+statistics of edges {k, i} and {j, k}: the minimum of those two edges'
+exponentials, under one shift per round, so a round takes one exponential
+per edge, not per triangle.  The decay rate increases each round, so
+triangles through currently-suspicious edges lose influence first.
 
 A triangle whose base pair is (anti)parallel has no consistency arc, so
 each draw picks uniformly among the edge's usable triangles, the others
@@ -41,6 +43,11 @@ __all__ = [
 # of sampling and geometry, beyond those of its first edge: bounds the
 # transient arrays.
 _BLOCK_ROWS = 1 << 16
+
+# Largest tau * (max - min) of a round's lookup whose per-edge weights,
+# shifted by the smallest lookup, all stay normal floats (e^-600 is about
+# 3e-261); a round past it takes the per-row shifted form.
+_MAX_EXPONENT_SPREAD = 600.0
 
 
 @dataclass(frozen=True)
@@ -208,6 +215,25 @@ def naive_aab(g: ViewGraph, cfg: AABConfig) -> EdgeStatistics:
     return EdgeStatistics(g.edge_array, _segment_mean(cache, g.num_edges, cfg.s), cache=cache)
 
 
+def _shifted_row_weights(cache: TripleCache, lookup, tau: float, w, buf) -> None:
+    """Write exp(-(z - z_min)) into the row buffer ``w``, with z = tau *
+    max(lookup of {k, i}, lookup of {j, k}) and z_min the smallest z of the
+    row's edge: that row keeps weight 1, so an edge's weights never all
+    underflow, however large tau grows."""
+    rows = cache.edge_rows
+    # cache rows come grouped by edge: group starts and sizes, so a
+    # per-edge value reaches its rows by np.repeat, not a gather
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    counts = np.diff(starts, append=rows.size)
+    np.take(lookup, cache.rows_ki, out=w, mode="clip")
+    np.take(lookup, cache.rows_jk, out=buf, mode="clip")
+    np.maximum(w, buf, out=w)
+    w *= tau
+    w -= np.repeat(np.minimum.reduceat(w, starts), counts)
+    np.negative(w, out=w)
+    np.exp(w, out=w)
+
+
 def ir_aab(g: ViewGraph, cfg: AABConfig) -> EdgeStatistics:
     """Iteratively reweighted AAB statistic.
 
@@ -220,6 +246,14 @@ def ir_aab(g: ViewGraph, cfg: AABConfig) -> EdgeStatistics:
     normalized to sum to one.  Lookups of a neighboring edge's previous
     statistic fall back to the median supported statistic when that edge
     is unsupported.
+
+    As exp is decreasing, exp(-tau * worst) is the smaller of the two
+    edges' exponentials, so a round computes one exponential per edge,
+    shifted by the round's smallest lookup, and gathers them.  Once tau
+    times the spread of the lookups exceeds ``_MAX_EXPONENT_SPREAD`` (600;
+    only schedules far longer than T = 10 get there) those could underflow,
+    and the round instead shifts each row's exponent by its edge's
+    smallest, one exponential per cached triangle.
 
     If no cached inconsistency is positive (none cached, or all zero), the
     naive statistic is returned as the only round, avoiding a division by
@@ -241,11 +275,6 @@ def ir_aab(g: ViewGraph, cfg: AABConfig) -> EdgeStatistics:
     per_iter = np.empty((cfg.T + 1, m_edges))
     per_iter[0] = vals
     rows = cache.edge_rows
-    # cache rows come grouped by edge: group starts, their edges and sizes,
-    # so a per-edge value reaches its rows by np.repeat, not a gather
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    supported_rows = rows[starts]
-    counts = np.diff(starts, append=rows.size)
     # each round runs in two row buffers; the gathers use mode="clip"
     # (every index is in range) so that they write to ``out`` directly
     # instead of through a temporary, and the integer multiplicities are
@@ -262,23 +291,22 @@ def ir_aab(g: ViewGraph, cfg: AABConfig) -> EdgeStatistics:
         lookup = vals.copy()
         if not supported_mask.all():
             lookup[~supported_mask] = np.median(vals[supported_mask])
-        # z = tau * max(previous of {k, i}, previous of {j, k}), shifted by
-        # the edge's smallest z: that row keeps weight mult >= 1, so an
-        # edge's weights never all underflow
-        np.take(lookup, cache.rows_ki, out=w, mode="clip")
-        np.take(lookup, cache.rows_jk, out=per_row, mode="clip")
-        np.maximum(w, per_row, out=w)
-        w *= tau
-        w -= np.repeat(np.minimum.reduceat(w, starts), counts)
-        # w = mult * exp(-z), then normalized per edge
-        np.negative(w, out=w)
-        np.exp(w, out=w)
+        low = lookup.min()
+        if tau * (lookup.max() - low) <= _MAX_EXPONENT_SPREAD:
+            # exp(-tau * max(a, b)) = min(exp(-tau * a), exp(-tau * b))
+            e = np.exp(-tau * (lookup - low))
+            np.take(e, cache.rows_ki, out=w, mode="clip")
+            np.take(e, cache.rows_jk, out=per_row, mode="clip")
+            np.minimum(w, per_row, out=w)
+        else:
+            _shifted_row_weights(cache, lookup, tau, w, per_row)
+        # w = mult * weight; the statistic is the weighted mean per edge
         w *= cache.multiplicity
         sums = np.bincount(rows, weights=w, minlength=m_edges)
-        w /= np.repeat(sums[supported_rows], counts)
         w *= cache.inconsistencies
         new_vals = np.bincount(rows, weights=w, minlength=m_edges)
-        vals = np.where(supported_mask, new_vals, np.nan)
+        vals = np.full(m_edges, np.nan)
+        np.divide(new_vals, sums, out=vals, where=supported_mask)
         per_iter[t] = vals
 
     return EdgeStatistics(

@@ -14,6 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .sphere import UNIT_NORM_TOL, unit_rows
+from .streams import require_integers
 
 __all__ = [
     "MAX_VERTICES", "Locations", "ViewGraph", "block_bounds", "concat_parts", "edge_tuples",
@@ -187,6 +188,7 @@ class ViewGraph:
         return g
 
     def _build(self, n, i, j, d, not_vec) -> None:
+        require_integers(n=n)
         if n < 2:
             raise ValueError("a view graph needs at least 2 vertices")
         if n > MAX_VERTICES:

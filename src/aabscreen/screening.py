@@ -11,6 +11,7 @@ usable graph.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -39,6 +40,10 @@ class ScreeningPolicy:
 
     def __post_init__(self):
         require_integers(min_degree=self.min_degree)
+        if not isinstance(self.keep_fraction, numbers.Real):
+            raise ValueError(f"keep_fraction must be a real number, got {self.keep_fraction!r}")
+        if not isinstance(self.threshold, (numbers.Real, type(None))):
+            raise ValueError(f"threshold must be a real number or None, got {self.threshold!r}")
         if self.mode == "keep_fraction" and not 0.0 < self.keep_fraction <= 1.0:
             raise ValueError("keep_fraction must be in (0, 1]")
         if self.threshold is not None and math.isnan(self.threshold):

@@ -91,6 +91,14 @@ def as_unit_vector(v) -> UnitVector3:
     return rows[0].copy()
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, of length 3: the sum that
+    ``np.linalg.norm`` forms, so the same bits, from the components
+    instead of a strided reduction over squared rows."""
+    x, y, z = np.moveaxis(v, -1, 0)
+    return np.sqrt((x * x + y * y) + z * z)
+
+
 def great_circle_distance(u: UnitVector3, v: UnitVector3) -> Radians:
     """Angle between two unit vectors, in [0, pi]: one row of
     ``great_circle_distance_batch`` after validating both inputs."""
@@ -106,7 +114,7 @@ def great_circle_distance_batch(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     the chord U + V to the antipode.
     """
     near = np.einsum("...i,...i->...", U, V) >= 0.0
-    chord = np.linalg.norm(U - np.where(near, 1.0, -1.0)[..., None] * V, axis=-1)
+    chord = _norms(U - np.where(near, 1.0, -1.0)[..., None] * V)
     half = 2.0 * np.arcsin(np.minimum(1.0, chord / 2.0))
     return np.where(near, half, np.pi - half)
 
@@ -184,7 +192,7 @@ def aab_inconsistency_batch(G3: np.ndarray, G1: np.ndarray, G2: np.ndarray) -> n
         lam1 = (xi - yi * zi) / denom
         lam2 = (yi - xi * zi) / denom
     gp = lam1[:, None] * g1 + lam2[:, None] * g2
-    out[rows] = np.arctan2(np.linalg.norm(g3 - gp, axis=1), np.linalg.norm(gp, axis=1))
+    out[rows] = np.arctan2(_norms(g3 - gp), _norms(gp))
 
     # the nearer endpoint is -g, g the base vector with the smaller dot
     # product with g3

@@ -460,6 +460,28 @@ class TestIrAab:
         vals = ir.per_iteration[:, supported]
         assert np.all((lo[supported] - 1e-12 <= vals) & (vals <= hi[supported] + 1e-12))
 
+    @pytest.mark.parametrize("name", ["uc-dense", "uc-sparse", "mostly-degenerate-s20-0"])
+    def test_per_row_weights_agree_with_per_edge_ones(self, name, monkeypatch):
+        # a bound of 0 sends every round through the per-row shifted form;
+        # the two forms differ in the order of rounding only
+        g, cfg = oracle_case(name)
+        fast = ir_aab(g, cfg).per_iteration
+        monkeypatch.setattr(aabstats, "_MAX_EXPONENT_SPREAD", 0.0)
+        slow = ir_aab(g, cfg).per_iteration
+        assert np.array_equal(np.isnan(slow), np.isnan(fast))
+        ok = ~np.isnan(fast)
+        assert np.all(np.abs(slow[ok] - fast[ok]) <= 1e-13 * np.abs(fast[ok]))
+
+    @pytest.mark.parametrize("name", ["uc-dense", "uc-sparse"])
+    def test_ordinary_schedules_take_one_exponential_per_edge(self, name, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("per-row weights at T = 10")
+
+        monkeypatch.setattr(aabstats, "_shifted_row_weights", refuse)
+        g, cfg = oracle_case(name)
+        assert cfg.T == 10
+        assert len(ir_aab(g, cfg).diagnostics.taus) == 10
+
 
 class TestRotationInvariance:
     @pytest.mark.parametrize("stat", [naive_aab, ir_aab], ids=["naive", "ir"])
@@ -651,7 +673,7 @@ class TestMemory:
         """The cache takes 28 bytes a row, and each reweighting round runs
         in two float buffers plus one transient int64 copy of an index
         field: with the per-edge arrays, 8 (T + 12) bytes an edge, the peak
-        stays below 64 bytes a row (51 measured on this instance)."""
+        stays below 64 bytes a row (50 measured on this instance)."""
         g, _ = generate_uc(UCParams(n=300, p=0.3, q=0.2, sigma=0.05, seed=3))
         cfg = AABConfig(s=50, T=10, seed=3)
         g.common_neighbor_csr
@@ -704,8 +726,11 @@ def digest(a, dtype) -> str:
 # sha256 prefixes of every cache field (as int64 or float64) and of both
 # statistics, recorded before the cache fields were narrowed and the rounds
 # moved into reused buffers (numpy 2.4, x86-64): the values are the same to
-# the bit.  The float digests rest on numpy's exp, arctan2 and arcsine
-# rounding the same way, which a different CPU or numpy build need not do.
+# the bit.  ir_per_iteration was recorded again once a round took one
+# exponential per edge and divided per edge, which moves the reweighted
+# values by at most 2e-14 relative.  The float digests rest on numpy's exp,
+# arctan2 and arcsine rounding the same way, which a different CPU or numpy
+# build need not do.
 GOLDEN = {
     "uc-dense": dict(
         rows=2894,
@@ -716,7 +741,7 @@ GOLDEN = {
         multiplicity="69803dd1176840a1",
         inconsistencies="4de12aaeca4435cc",
         naive="2d2210982691f8ca",
-        ir_per_iteration="1399b1e9b84d8433",
+        ir_per_iteration="fdb6ec01afab1c35",
         taus="d73b8afc7e6ad566",
     ),
     # 94 of its 451 edges are unsupported: the median fallback runs
@@ -729,7 +754,7 @@ GOLDEN = {
         multiplicity="c233994c04b094a4",
         inconsistencies="2127f68f98e06cb1",
         naive="5f24080450e23b8e",
-        ir_per_iteration="72ac311b17d21f67",
+        ir_per_iteration="efdcac5d46d23e5a",
         taus="2b00acf78375d246",
     ),
 }

@@ -284,6 +284,19 @@ class TestChecks:
         with pytest.raises(ValueError, match="at most 2147483647 vertices"):
             ViewGraph(n, [])
 
+    @pytest.mark.parametrize("n", [3.5, 3.0, "3", None])
+    def test_vertex_count_must_be_an_integer(self, n):
+        # a float count used to be truncated, a string to fail on n < 2
+        edges = [(0, 1, EZ), (1, 2, EZ)]
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            ViewGraph(n, edges)
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            ViewGraph.from_arrays(n, [0, 1], [1, 2], np.tile(EZ, (2, 1)))
+
+    def test_numpy_integer_is_a_vertex_count(self):
+        g = ViewGraph.from_arrays(np.int32(3), [0, 1], [1, 2], np.tile(EZ, (2, 1)))
+        assert g.n == 3 and type(g.n) is int
+
 
 class TestLocations:
     def test_holds_rows_of_sorted_vertices(self):

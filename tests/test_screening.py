@@ -43,6 +43,18 @@ class TestPolicy:
         with pytest.raises(ValueError, match=f"^min_degree must be an integer, got {value!r}$"):
             ScreeningPolicy(min_degree=value)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("keep_fraction", "0.5"), ("keep_fraction", None), ("threshold", "0.3"), ("threshold", [0.3])],
+    )
+    def test_fraction_and_threshold_must_be_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+            ScreeningPolicy(**{field: value})
+
+    def test_numpy_floats_are_numbers(self):
+        assert ScreeningPolicy(keep_fraction=np.float32(0.25)).keep_fraction == np.float32(0.25)
+        assert ScreeningPolicy(threshold=np.float64(0.3)).mode == "threshold"
+
     def test_numpy_integer_is_a_min_degree(self):
         assert ScreeningPolicy(min_degree=np.int64(3)).min_degree == 3
 
