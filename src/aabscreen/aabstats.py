@@ -4,11 +4,11 @@ iteratively reweighted refinement.
 For an edge {i, j} the naive statistic averages, over s common neighbors k
 drawn with replacement, the AAB inconsistency of the edge direction against
 the two directions closing the triangle (i, j, k).  The reweighted variant
-keeps those sampled triangles and their cached inconsistencies, and for a
-fixed number of rounds replaces the plain average with a weighted one, the
-weight of triangle k decaying exponentially in the larger of the current
-statistics of edges {k, i} and {j, k}: the minimum of those two edges'
-exponentials, under one shift per round, so a round takes one exponential
+keeps those sampled triangles and their cached inconsistencies, and for T
+rounds (at most 190, so no weight underflows) replaces the plain average
+with a weighted one, the weight of triangle k decaying exponentially in
+the larger of the current statistics of edges {k, i} and {j, k}: the
+minimum of those two edges' exponentials, so a round takes one exponential
 per edge, not per triangle.  The decay rate increases each round, so
 triangles through currently-suspicious edges lose influence first.
 
@@ -44,15 +44,18 @@ __all__ = [
 # transient arrays.
 _BLOCK_ROWS = 1 << 16
 
-# Largest tau * (max - min) of a round's lookup whose per-edge weights,
-# shifted by the smallest lookup, all stay normal floats (e^-600 is about
-# 3e-261); a round past it takes the per-row shifted form.
-_MAX_EXPONENT_SPREAD = 600.0
+# Longest reweighting schedule.  Round t's rate is tau = pi / M_t with
+# M_t >= big / T, big the largest cached inconsistency, and every lookup
+# lies in [0, big], so tau times the spread of a round's lookups is at most
+# pi * T <= 597: every weight exp(-tau * (lookup - smallest lookup)) stays
+# above e^-600 (about 3e-261), a normal float.
+_MAX_T = 190
 
 
 @dataclass(frozen=True)
 class AABConfig:
-    """Sampling/iteration configuration shared by both statistics."""
+    """Sampling/iteration configuration shared by both statistics; T is at
+    most 190 so that no reweighting weight underflows (see ``_MAX_T``)."""
 
     s: int = 50
     T: int = 10
@@ -63,8 +66,8 @@ class AABConfig:
         # the cache's int32 multiplicities count up to s draws
         if not 1 <= self.s <= 2**31 - 1:
             raise ValueError("s must be in [1, 2**31 - 1]")
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
+        if not 1 <= self.T <= _MAX_T:
+            raise ValueError(f"T must be in [1, {_MAX_T}]")
 
 
 @dataclass
@@ -193,14 +196,15 @@ def _build_cache(g: ViewGraph, cfg: AABConfig) -> TripleCache:
     return TripleCache(*(concat_parts(p, dtype) for p, dtype in zip(parts, dtypes)))
 
 
-def _segment_mean(cache: TripleCache, num_edges: int, s: int) -> np.ndarray:
-    """Average per edge row over its s draws; NaN on edges without a
-    usable triangle."""
-    sums = np.bincount(
-        cache.edge_rows, weights=cache.multiplicity * cache.inconsistencies, minlength=num_edges
-    )
+def _weighted_mean(cache: TripleCache, w: np.ndarray, num_edges: int) -> np.ndarray:
+    """Mean per edge row of the cached inconsistencies under the row
+    weights ``w``, which it overwrites; NaN on edges whose weights sum to
+    zero, those without a usable triangle."""
+    sums = np.bincount(cache.edge_rows, weights=w, minlength=num_edges)
+    w *= cache.inconsistencies
+    totals = np.bincount(cache.edge_rows, weights=w, minlength=num_edges)
     vals = np.full(num_edges, np.nan)
-    vals[cache.edge_rows] = sums[cache.edge_rows] / s
+    np.divide(totals, sums, out=vals, where=sums > 0)
     return vals
 
 
@@ -212,26 +216,8 @@ def naive_aab(g: ViewGraph, cfg: AABConfig) -> EdgeStatistics:
     a triangle are flagged unsupported.
     """
     cache = _build_cache(g, cfg)
-    return EdgeStatistics(g.edge_array, _segment_mean(cache, g.num_edges, cfg.s), cache=cache)
-
-
-def _shifted_row_weights(cache: TripleCache, lookup, tau: float, w, buf) -> None:
-    """Write exp(-(z - z_min)) into the row buffer ``w``, with z = tau *
-    max(lookup of {k, i}, lookup of {j, k}) and z_min the smallest z of the
-    row's edge: that row keeps weight 1, so an edge's weights never all
-    underflow, however large tau grows."""
-    rows = cache.edge_rows
-    # cache rows come grouped by edge: group starts and sizes, so a
-    # per-edge value reaches its rows by np.repeat, not a gather
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    counts = np.diff(starts, append=rows.size)
-    np.take(lookup, cache.rows_ki, out=w, mode="clip")
-    np.take(lookup, cache.rows_jk, out=buf, mode="clip")
-    np.maximum(w, buf, out=w)
-    w *= tau
-    w -= np.repeat(np.minimum.reduceat(w, starts), counts)
-    np.negative(w, out=w)
-    np.exp(w, out=w)
+    vals = _weighted_mean(cache, cache.multiplicity.astype(np.float64), g.num_edges)
+    return EdgeStatistics(g.edge_array, vals, cache=cache)
 
 
 def ir_aab(g: ViewGraph, cfg: AABConfig) -> EdgeStatistics:
@@ -249,11 +235,9 @@ def ir_aab(g: ViewGraph, cfg: AABConfig) -> EdgeStatistics:
 
     As exp is decreasing, exp(-tau * worst) is the smaller of the two
     edges' exponentials, so a round computes one exponential per edge,
-    shifted by the round's smallest lookup, and gathers them.  Once tau
-    times the spread of the lookups exceeds ``_MAX_EXPONENT_SPREAD`` (600;
-    only schedules far longer than T = 10 get there) those could underflow,
-    and the round instead shifts each row's exponent by its edge's
-    smallest, one exponential per cached triangle.
+    shifted by the round's smallest lookup, and gathers them.  Since tau
+    is at most pi * T / (largest cached inconsistency) and T at most 190,
+    the exponents stay above -600 and no weight underflows.
 
     If no cached inconsistency is positive (none cached, or all zero), the
     naive statistic is returned as the only round, avoiding a division by
@@ -261,7 +245,7 @@ def ir_aab(g: ViewGraph, cfg: AABConfig) -> EdgeStatistics:
     """
     cache = _build_cache(g, cfg)
     m_edges = g.num_edges
-    vals = _segment_mean(cache, m_edges, cfg.s)
+    vals = _weighted_mean(cache, cache.multiplicity.astype(np.float64), m_edges)
     diag = IRDiagnostics()
     big = float(cache.inconsistencies.max(initial=0.0))
     if big == 0.0:
@@ -274,13 +258,12 @@ def ir_aab(g: ViewGraph, cfg: AABConfig) -> EdgeStatistics:
     supported_mask = ~np.isnan(vals)
     per_iter = np.empty((cfg.T + 1, m_edges))
     per_iter[0] = vals
-    rows = cache.edge_rows
     # each round runs in two row buffers; the gathers use mode="clip"
     # (every index is in range) so that they write to ``out`` directly
     # instead of through a temporary, and the integer multiplicities are
     # cast in the ufunc's chunks, not copied whole
-    w = np.empty(rows.size)
-    per_row = np.empty(rows.size)
+    w = np.empty(cache.edge_rows.size)
+    per_row = np.empty(w.size)
 
     current = big
     for t in range(1, cfg.T + 1):
@@ -291,22 +274,13 @@ def ir_aab(g: ViewGraph, cfg: AABConfig) -> EdgeStatistics:
         lookup = vals.copy()
         if not supported_mask.all():
             lookup[~supported_mask] = np.median(vals[supported_mask])
-        low = lookup.min()
-        if tau * (lookup.max() - low) <= _MAX_EXPONENT_SPREAD:
-            # exp(-tau * max(a, b)) = min(exp(-tau * a), exp(-tau * b))
-            e = np.exp(-tau * (lookup - low))
-            np.take(e, cache.rows_ki, out=w, mode="clip")
-            np.take(e, cache.rows_jk, out=per_row, mode="clip")
-            np.minimum(w, per_row, out=w)
-        else:
-            _shifted_row_weights(cache, lookup, tau, w, per_row)
-        # w = mult * weight; the statistic is the weighted mean per edge
+        # exp(-tau * max(a, b)) = min(exp(-tau * a), exp(-tau * b))
+        e = np.exp(-tau * (lookup - lookup.min()))
+        np.take(e, cache.rows_ki, out=w, mode="clip")
+        np.take(e, cache.rows_jk, out=per_row, mode="clip")
+        np.minimum(w, per_row, out=w)
         w *= cache.multiplicity
-        sums = np.bincount(rows, weights=w, minlength=m_edges)
-        w *= cache.inconsistencies
-        new_vals = np.bincount(rows, weights=w, minlength=m_edges)
-        vals = np.full(m_edges, np.nan)
-        np.divide(new_vals, sums, out=vals, where=supported_mask)
+        vals = _weighted_mean(cache, w, m_edges)
         per_iter[t] = vals
 
     return EdgeStatistics(

@@ -7,10 +7,9 @@ statistic that the sampled one estimates.
 ``build_cache`` and the statistics here are the library's written out per
 draw: s draws per edge over that population, one cache row per draw, in
 draw order, repeats included.  The plain average and the reweighting
-rounds run over those rows with unit weights and without a per-edge shift
-of the exponent.  The library keeps one row per distinct (edge, common
-neighbour) with a multiplicity; this copy is the oracle it is checked
-against.
+rounds run over those rows with unit weights and unshifted exponents.
+The library keeps one row per distinct (edge, common neighbour) with a
+multiplicity; this copy is the oracle it is checked against.
 """
 
 from __future__ import annotations

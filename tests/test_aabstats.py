@@ -116,6 +116,9 @@ class TestConfig:
         AABConfig(s=2**31 - 1)
         with pytest.raises(ValueError):
             AABConfig(T=0)
+        with pytest.raises(ValueError, match=r"^T must be in \[1, 190\]$"):
+            AABConfig(T=191)
+        AABConfig(T=190)
 
     UC = dict(n=10, p=0.5, q=0.2, sigma=0.05, seed=0)
 
@@ -444,12 +447,11 @@ class TestIrAab:
         assert np.array_equal(a.per_iteration, b.per_iteration, equal_nan=True)
 
     def test_long_schedule_keeps_every_supported_edge(self):
-        # the last rate is about pi * T / (M + (T - 1) m): at T = 3000 every
-        # raw weight exp(-tau * worst) of some edges underflows to zero, and
-        # without a per-edge shift of the exponent 87 of the 364 supported
-        # edges came out NaN
+        # the longest accepted schedule: its last rate is about
+        # pi * T / (M + (T - 1) m), and every edge's weights must stay
+        # positive, so that no supported edge comes out NaN
         g, _ = generate_uc(UCParams(n=40, p=0.5, q=0.4, sigma=0.05, seed=1))
-        ir = ir_aab(g, AABConfig(s=20, T=3000, seed=1))
+        ir = ir_aab(g, AABConfig(s=20, T=190, seed=1))
         cache = ir.cache
         supported = ~np.isnan(ir.per_iteration[0])
         assert not np.isnan(ir.per_iteration[:, supported]).any()
@@ -460,27 +462,22 @@ class TestIrAab:
         vals = ir.per_iteration[:, supported]
         assert np.all((lo[supported] - 1e-12 <= vals) & (vals <= hi[supported] + 1e-12))
 
+    @pytest.mark.parametrize("T", [1, 10, 190])
     @pytest.mark.parametrize("name", ["uc-dense", "uc-sparse", "mostly-degenerate-s20-0"])
-    def test_per_row_weights_agree_with_per_edge_ones(self, name, monkeypatch):
-        # a bound of 0 sends every round through the per-row shifted form;
-        # the two forms differ in the order of rounding only
+    def test_exponent_spread_is_at_most_pi_T(self, name, T):
+        # the bound that keeps every weight exp(-tau * (lookup - min)) a
+        # normal float, read from the outputs alone: round t's lookup is
+        # the statistic after round t - 1, the median supported value
+        # standing in for unsupported edges
         g, cfg = oracle_case(name)
-        fast = ir_aab(g, cfg).per_iteration
-        monkeypatch.setattr(aabstats, "_MAX_EXPONENT_SPREAD", 0.0)
-        slow = ir_aab(g, cfg).per_iteration
-        assert np.array_equal(np.isnan(slow), np.isnan(fast))
-        ok = ~np.isnan(fast)
-        assert np.all(np.abs(slow[ok] - fast[ok]) <= 1e-13 * np.abs(fast[ok]))
-
-    @pytest.mark.parametrize("name", ["uc-dense", "uc-sparse"])
-    def test_ordinary_schedules_take_one_exponential_per_edge(self, name, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("per-row weights at T = 10")
-
-        monkeypatch.setattr(aabstats, "_shifted_row_weights", refuse)
-        g, cfg = oracle_case(name)
-        assert cfg.T == 10
-        assert len(ir_aab(g, cfg).diagnostics.taus) == 10
+        ir = ir_aab(g, AABConfig(s=cfg.s, T=T, seed=cfg.seed))
+        taus = ir.diagnostics.taus
+        assert len(taus) == T
+        supported = ~np.isnan(ir.per_iteration[0])
+        for t in range(1, T + 1):
+            lookup = ir.per_iteration[t - 1].copy()
+            lookup[~supported] = np.median(lookup[supported])
+            assert taus[t - 1] * (lookup.max() - lookup.min()) <= math.pi * T * (1 + 1e-12)
 
 
 class TestRotationInvariance:

@@ -87,14 +87,18 @@ class TestSubcommands:
         assert not (tmp_path / "stats.csv").exists()
 
     def test_screen_checks_s_before_reading_edges(self, tmp_path, capsys):
-        # the edge list need not exist: --s is checked before any read
-        code = run(
-            "screen", "--edges", tmp_path / "missing.txt", "--stat", "ir", "--s", 0,
-            "--seed", 1, "--out", tmp_path / "stats.csv",
-        )
-        assert code == 1
-        assert capsys.readouterr().err == "error: s must be in [1, 2**31 - 1]\n"
-        assert not (tmp_path / "stats.csv").exists()
+        # the edge list need not exist: --s and --T are checked before any read
+        for flag, value, err in [
+            ("--s", 0, "error: s must be in [1, 2**31 - 1]\n"),
+            ("--T", 191, "error: T must be in [1, 190]\n"),
+        ]:
+            code = run(
+                "screen", "--edges", tmp_path / "missing.txt", "--stat", "ir", flag, value,
+                "--seed", 1, "--out", tmp_path / "stats.csv",
+            )
+            assert code == 1
+            assert capsys.readouterr().err == err
+            assert not (tmp_path / "stats.csv").exists()
 
     def test_solve_has_no_delta(self, generated, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
